@@ -227,14 +227,16 @@ def write_enewick(n: Network) -> str:
     visit carrying the children.
     """
     d = n.clades()
-    universe = n.leaf_universe
 
     def clade_key(u: NodeId):
+        # leaf_universe is sorted, so label indices order like the labels
         bits = d[u]
-        return (
-            tuple(lab for i, lab in enumerate(universe) if bits >> i & 1),
-            u,
-        )
+        idx = []
+        while bits:
+            low = bits & -bits
+            idx.append(low.bit_length() - 1)
+            bits ^= low
+        return (tuple(idx), u)
 
     tags: dict[NodeId, int] = {}
     out: list[str] = []

@@ -20,6 +20,12 @@ Recurrences:
       point, or contract each run into a single node and compare the merged
       side networks.
 
+Rules 1 and 2 only ask whether a clade value occurs among the other
+composition's 1- and 2-clades. Each network keeps a witness index from clade
+values to the nodes and cycle pairs carrying them; a query finds the one prime
+that can hold the value and tests those few witnesses against its reach
+bitmask, so no clade set is ever built.
+
 Costs count contractions on both sides; the optimum then satisfies
 delta = |I1| + |I2| - 2 |I(M)|. A traceback over the memoized choices
 rebuilds the witness partitions and the common contraction itself.
@@ -31,8 +37,8 @@ import sys
 from dataclasses import dataclass
 
 from .edit_ops import WitnessStructure, quotient, validate_witness
-from .errors import Degree2Node, LeafSetMismatch, NotWeaklyGalled
-from .galled import cycles, has_degree2_node, is_weakly_galled
+from .errors import Degree2Node, LeafSetMismatch
+from .galled import ReticulationCycle, cycles, has_degree2_node
 from .network_core import Network, NodeId, topological_order
 
 __all__ = ["solve", "solve_with_stats", "DpStats"]
@@ -48,9 +54,10 @@ class DpStats:
 
 
 class _NetData:
-    """Static per-network tables: clades, cycles, hangs, prefix fingerprints."""
+    """Static per-network tables: clades, cycles, hangs, prefix fingerprints,
+    and the witness index behind has_value."""
 
-    def __init__(self, n: Network):
+    def __init__(self, n: Network, cyc: list[ReticulationCycle]):
         self.n = n
         self.d = n.clades()
         node_list = sorted(n.succ)
@@ -59,15 +66,22 @@ class _NetData:
         internal = set(n.internal_nodes())
         self.internal_mask = sum(1 << self.node_bit[u] for u in internal)
 
-        # reachability bitmasks over node indices (reverse topological)
+        # reachability and ancestor bitmasks over node indices
+        topo = topological_order(n)
         self.reach: dict[NodeId, int] = {}
-        for u in reversed(topological_order(n)):
+        for u in reversed(topo):
             bits = 1 << self.node_bit[u]
             for c in n.succ[u]:
                 bits |= self.reach[c]
             self.reach[u] = bits
+        anc: dict[NodeId, int] = {}
+        for u in topo:
+            bits = 1 << self.node_bit[u]
+            for p in n.pred[u]:
+                bits |= anc[p]
+            anc[u] = bits
 
-        self.cycles = cycles(n)
+        self.cycles = cyc
         self.order: list[tuple[NodeId, ...]] = []
         self.pos: list[dict[NodeId, int]] = []
         self.rooted_at: dict[NodeId, list[int]] = {}
@@ -127,8 +141,24 @@ class _NetData:
                     pairs[bits] = (x, y)
             self.pair_of.append(pairs)
 
+        # Witness index: one_wit maps a clade value to the mask of the nodes
+        # carrying it; two_wit maps a two-clade value to (cycle, pos x, pos y,
+        # cycle root mask) of its pair; leaf_anc maps a leaf's clade bit to
+        # the mask of its ancestors.
+        self.leaf_anc = {self.d[x]: anc[x] for x in n.leaf_label}
+        self.one_wit: dict[int, int] = {}
+        for u, i in self.node_bit.items():
+            self.one_wit[self.d[u]] = self.one_wit.get(self.d[u], 0) | 1 << i
+        self.two_wit: dict[int, list[tuple[int, int, int, int]]] = {}
+        for cj, pairs in enumerate(self.pair_of):
+            root = 1 << self.node_bit[self.croot(cj)]
+            for bits, (x, y) in pairs.items():
+                wit = (cj, self.pos[cj][x], self.pos[cj][y], root)
+                self.two_wit.setdefault(bits, []).append(wit)
+
         self._dec_cache: dict[NodeId, tuple] = {}
-        self._sigma_cache: dict[tuple, tuple[frozenset, frozenset]] = {}
+        self._path_cache: dict[tuple, tuple] = {}
+        self._scope_cache: dict[tuple, tuple] = {}
 
     # -- cyclic geometry ---------------------------------------------------
 
@@ -189,10 +219,13 @@ class _NetData:
         return self._dec_cache[u]
 
     def decompose_path(self, ci: int, path: tuple[NodeId, ...]) -> tuple:
-        frags = []
-        for z in path:
-            frags.extend(self.node_fragments(z, skip_on_cycle=ci))
-        return _sort_comp(self, frags)
+        key = (ci, path)
+        if key not in self._path_cache:
+            frags = []
+            for z in path:
+                frags.extend(self.node_fragments(z, skip_on_cycle=ci))
+            self._path_cache[key] = _sort_comp(self, frags)
+        return self._path_cache[key]
 
     # -- leaf sets -----------------------------------------------------------
 
@@ -208,7 +241,66 @@ class _NetData:
             bits |= self.prime_leafset(p)
         return bits
 
-    # -- clade sets of materializations ---------------------------------------
+    # -- clade queries on materializations -----------------------------------
+
+    def _scope(self, p) -> tuple:
+        """(node bits, own cycle or -1, window bounds, head masks) of the
+        prime's materialization: a cycle top owns positions strictly between
+        pos[u] and pos_high(v), and its heads are the two exposed nodes."""
+        got = self._scope_cache.get(p)
+        if got is None:
+            if p[0] == "D":
+                heads = (p[1],)
+                got = (self.reach[p[1]], -1, 0, 0)
+            else:
+                _, ci, u, v = p
+                heads = (self.next_a(ci, u), self.next_b(ci, v))
+                bits = self.reach[heads[0]] | self.reach[heads[1]]
+                got = (bits, ci, self.pos[ci][u], self.pos_high(ci, v))
+            got += (tuple(1 << self.node_bit[h] for h in heads),)
+            self._scope_cache[p] = got
+        return got
+
+    def comp_index(self, comp: tuple) -> tuple[int, dict[int, tuple]]:
+        """(mask of all heads, head mask -> scope) for the primes of comp."""
+        heads = 0
+        scope_of = {}
+        for p in comp:
+            scope = self._scope(p)
+            for bit in scope[4]:
+                heads |= bit
+                scope_of[bit] = scope
+        return heads, scope_of
+
+    def has_value(self, index: tuple[int, dict[int, tuple]], q: int) -> bool:
+        """Whether q is a one- or two-clade value of some prime's
+        materialization in the composition that comp_index indexed.
+
+        Primes are leaf-disjoint and every witness of q reaches the lowest
+        leaf of q, so only the prime whose head is an ancestor of that leaf
+        can carry q.
+
+        Clades of materialized nodes equal their original clades; a cycle
+        counts as such only if its root is inside the materialization
+        (broken cycles degrade to tree parts), and a cycle top's own cycle
+        contributes only the pairs inside its window.  A side-internal node
+        of such a cycle is no 1-clade, but its clade equals its pair with
+        the reticulation, so every node in the materialization can witness
+        q.  The fresh root's own clade is deliberately left out: rule
+        blocking must only see clades witnessed below the root, else no rule
+        could ever touch a subnetwork whose value equals the whole leaf
+        set."""
+        heads, scope_of = index
+        hit = self.leaf_anc[q & -q] & heads
+        if not hit:
+            return False
+        bits, own, lo, hi, _ = scope_of[hit & -hit]
+        if bits & self.one_wit.get(q, 0):
+            return True
+        for cj, px, py, root in self.two_wit.get(q, ()):
+            if (lo < px and py < hi) if cj == own else bits & root:
+                return True
+        return False
 
     def _nodes_of(self, bits: int) -> list[NodeId]:
         out = []
@@ -217,60 +309,6 @@ class _NetData:
             out.append(self.node_of_bit[low.bit_length() - 1])
             bits ^= low
         return out
-
-    def sigma(self, p) -> tuple[frozenset, frozenset]:
-        """(one-clade values, two-clade values) of the prime's materialization.
-
-        Clades of materialized nodes equal their original clades; a node
-        counts as cycle-internal only if its cycle's root is inside the
-        materialization (broken cycles degrade to tree parts).  The fresh
-        root's own clade is deliberately left out: rule blocking must only
-        see clades witnessed below the root, else no rule could ever touch
-        a subnetwork whose value equals the whole leaf set."""
-        if p in self._sigma_cache:
-            return self._sigma_cache[p]
-        if p[0] == "D":
-            nodes_bits = self.reach[p[1]]
-            window_side: set[NodeId] = set()
-        else:
-            _, ci, u, v = p
-            nodes_bits = (
-                self.reach[self.next_a(ci, u)] | self.reach[self.next_b(ci, v)]
-            )
-            t = self.retic(ci)
-            window_side = {z for z in self.window(ci, u, v) if z != t}
-        ones = set()
-        twos = set()
-        for z in self._nodes_of(nodes_bits):
-            info = self.side_of.get(z)
-            if z in window_side:
-                continue
-            if info is not None:
-                cj = info[0]
-                if (
-                    (p[0] != "C" or cj != p[1])
-                    and nodes_bits >> self.node_bit[self.croot(cj)] & 1
-                ):
-                    continue  # side-internal of a fully present other cycle
-            ones.add(self.d[z])
-        if p[0] == "C":
-            _, ci, u, v = p
-            t = self.retic(ci)
-            wa = [z for z in self.window(ci, u, v) if self.pos[ci][z] < self.pos[ci][t]]
-            wb = [z for z in self.window(ci, u, v) if self.pos[ci][z] > self.pos[ci][t]]
-            for x in (*wa, t):
-                for y in (*wb, t):
-                    if x == t and y == t:
-                        continue
-                    twos.add(self.d[x] | self.d[y])
-        for cj, c in enumerate(self.cycles):
-            if p[0] == "C" and cj == p[1]:
-                continue
-            if nodes_bits >> self.node_bit[c.root] & 1:
-                twos |= set(self.pair_of[cj])
-        got = (frozenset(ones), frozenset(twos))
-        self._sigma_cache[p] = got
-        return got
 
     def internal_count_below(self, u: NodeId) -> int:
         return (self.reach[u] & self.internal_mask).bit_count()
@@ -293,31 +331,18 @@ class _Solver:
     def __init__(self, n1: Network, n2: Network):
         if n1.leaf_universe != n2.leaf_universe:
             raise LeafSetMismatch(f"{n1.leaf_universe} vs {n2.leaf_universe}")
+        cyc = []
         for n in (n1, n2):
-            if not is_weakly_galled(n):
-                raise NotWeaklyGalled(repr(n))
+            cyc.append(cycles(n))  # raises NotWeaklyGalled
             if has_degree2_node(n):
                 raise Degree2Node(repr(n))
-        self.nd = (_NetData(n1), _NetData(n2))
+        self.nd = (_NetData(n1, cyc[0]), _NetData(n2, cyc[1]))
         self.fc_memo: dict = {}
         self.fp_memo: dict = {}
         self.fl_memo: dict = {}
-        self.sigma_comp: list[dict] = [{}, {}]
         self.cands: list[dict] = [{}, {}]
 
     # -- rule machinery ------------------------------------------------------
-
-    def comp_sigma(self, s: int, comp: tuple) -> frozenset:
-        cache = self.sigma_comp[s]
-        if comp not in cache:
-            nd = self.nd[s]
-            vals = set()
-            for p in comp:
-                ones, twos = nd.sigma(p)
-                vals |= ones
-                vals |= twos
-            cache[comp] = frozenset(vals)
-        return cache[comp]
 
     def candidates(self, s: int, comp: tuple) -> list:
         """(node, rule, prime, queries) tuples, NodeId-sorted."""
@@ -364,13 +389,16 @@ class _Solver:
     def rule_step(self, k1: tuple, k2: tuple):
         """First safe contraction under the deterministic schedule, or None."""
         comps = (k1, k2)
+        index = [None, None]  # [s]: the other side's comp_index, built on first query
         for rule in (1, 2):
             for s in (0, 1):
-                known = self.comp_sigma(1 - s, comps[1 - s])
+                other = self.nd[1 - s]
                 for z, kind, prime, queries in self.candidates(s, comps[s]):
                     if kind != rule:
                         continue
-                    if any(q in known for q in queries):
+                    if index[s] is None:
+                        index[s] = other.comp_index(comps[1 - s])
+                    if any(other.has_value(index[s], q) for q in queries):
                         continue
                     nd = self.nd[s]
                     if kind == 1:

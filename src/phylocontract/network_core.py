@@ -348,13 +348,19 @@ def reachable_leaves(n: Network, u: NodeId) -> LeafSet:
     return LeafSet(n.clades()[u], n.leaf_universe)
 
 
-def _internal_signature(n: Network, u: NodeId) -> tuple:
-    index = {lab: i for i, lab in enumerate(n.leaf_universe)}
-    leaf_children = 0
-    for v in n.succ[u]:
-        if v in n.leaf_label:
-            leaf_children |= 1 << index[n.leaf_label[v]]
-    return (len(n.pred[u]), len(n.succ[u]), n.clades()[u], n.depths()[u], leaf_children)
+def _internal_signatures(n: Network) -> dict[NodeId, tuple]:
+    """Isomorphism-invariant signature of every internal node; a leaf's
+    clade is its own label bit, so leaf children combine as clade bits."""
+    d = n.clades()
+    depth = n.depths()
+    out = {}
+    for u in n.internal_nodes():
+        leaf_children = 0
+        for v in n.succ[u]:
+            if v in n.leaf_label:
+                leaf_children |= d[v]
+        out[u] = (len(n.pred[u]), len(n.succ[u]), d[u], depth[u], leaf_children)
+    return out
 
 
 def is_isomorphic(n1: Network, n2: Network, return_mapping: bool = False):
@@ -375,12 +381,13 @@ def is_isomorphic(n1: Network, n2: Network, return_mapping: bool = False):
         u: by_label2[lab] for u, lab in n1.leaf_label.items()
     }
 
+    of1 = _internal_signatures(n1)
     sig1: dict[tuple, list[NodeId]] = {}
-    for u in n1.internal_nodes():
-        sig1.setdefault(_internal_signature(n1, u), []).append(u)
+    for u, s in of1.items():
+        sig1.setdefault(s, []).append(u)
     sig2: dict[tuple, list[NodeId]] = {}
-    for u in n2.internal_nodes():
-        sig2.setdefault(_internal_signature(n2, u), []).append(u)
+    for u, s in _internal_signatures(n2).items():
+        sig2.setdefault(s, []).append(u)
     if set(sig1) != set(sig2):
         return fail
     for s, us in sig1.items():
@@ -388,7 +395,7 @@ def is_isomorphic(n1: Network, n2: Network, return_mapping: bool = False):
             return fail
 
     # Assign rare signatures first to cut branching.
-    order = sorted(n1.internal_nodes(), key=lambda u: (len(sig1[_internal_signature(n1, u)]), u))
+    order = sorted(of1, key=lambda u: (len(sig1[of1[u]]), u))
     used: set[NodeId] = set()
 
     def compatible(u: NodeId, v: NodeId) -> bool:
@@ -418,7 +425,7 @@ def is_isomorphic(n1: Network, n2: Network, return_mapping: bool = False):
         if i == len(order):
             return True
         u = order[i]
-        for v in sig2[_internal_signature(n1, u)]:
+        for v in sig2[of1[u]]:
             if v in used:
                 continue
             if compatible(u, v):

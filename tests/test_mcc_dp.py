@@ -1,14 +1,18 @@
 """Polynomial solver on weakly galled trees, checked against the brute oracle."""
 
+import hashlib
+import json
+
 import pytest
 
 from conftest import gen_wgt, perturb
+from phylocontract.cli import _witness_json
 from phylocontract.edit_ops import validate_witness
 from phylocontract.errors import Degree2Node, LeafSetMismatch, NotWeaklyGalled
 from phylocontract.galled import is_weakly_galled
 from phylocontract.generators import SplitMix64
-from phylocontract.io_enewick import parse_enewick
-from phylocontract.mcc_dp import solve, solve_with_stats
+from phylocontract.io_enewick import parse_enewick, write_enewick
+from phylocontract.mcc_dp import _Solver, solve, solve_with_stats
 from phylocontract.mcc_oracle import exact_mcc, is_contraction
 from phylocontract.network_core import is_isomorphic
 
@@ -164,3 +168,118 @@ def test_stats_identical_pair_exercises_leaf_table():
     assert delta == 0
     assert stats.fl_entries > 0
     assert stats.fp_entries > 0
+
+
+# -- frozen mid-size pairs ------------------------------------------------------
+
+# (leaves, reticulations, seed, k) -> (delta, fc, fp, fl entries, emit digest,
+# witness digest). k > 0 pairs a network with a k-contraction copy of itself,
+# k == 0 with an independent network. Digests are SHA-256 prefixes of the
+# bytes `mcc wgt --emit/--witness` writes. The pairs are beyond the oracle's
+# reach, so these values, recorded from the solver that built a clade set
+# per prime, are their only reference.
+FROZEN = [
+    ((20, 2, 11, 3), (3, 68, 34, 37, "cfd8e7a363572cc3", "31695a9d16a18d39")),
+    ((24, 3, 21, 0), (41, 43, 26, 0, "754a24c226ea592b", "2f77d21535c4d890")),
+    ((34, 3, 12, 10), (10, 191, 64, 85, "164754dbbd67c4b8", "39df91d26de7dcf8")),
+    ((48, 4, 13, 5), (5, 202, 94, 168, "2c35d99253889607", "3bd38115f3f7b1af")),
+    ((60, 5, 14, 0), (95, 89, 60, 0, "76d98ab49c119232", "176bf46005c9bb34")),
+    ((72, 2, 15, 4), (4, 325, 145, 343, "5f110b45be4be341", "8edf87226636e02f")),
+    ((85, 3, 16, 12), (12, 290, 143, 175, "3c98d40575a655fa", "0d4cab98276b3b08")),
+    ((96, 4, 17, 6), (6, 220, 163, 98, "2ca1857e6e832797", "185e18f9d8b0b322")),
+    ((108, 5, 18, 0), (154, 147, 108, 0, "6d1e4e0f410fd144", "90db0c592e5a8055")),
+    ((120, 3, 19, 2), (2, 457, 233, 784, "533ce2d903699fc2", "bdd15fd623f60f9f")),
+    ((30, 5, 20, 0), (56, 50, 30, 0, "fd20c8da0a26d4c8", "a378b194eaf59c57")),
+]
+
+
+def _frozen_pair(leaves, retics, seed, k):
+    n1 = gen_wgt(leaves, retics, seed)
+    if k:
+        return n1, perturb(n1, k, seed + 1000)
+    return n1, gen_wgt(leaves, retics, seed + 500)
+
+
+def _digest(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+@pytest.mark.parametrize(
+    "spec,want", FROZEN, ids=[f"L{a}-r{b}-s{c}-k{d}" for (a, b, c, d), _ in FROZEN]
+)
+def test_frozen_mid_size_pairs(spec, want):
+    n1, n2 = _frozen_pair(*spec)
+    (delta, m, w1, w2), stats = solve_with_stats(n1, n2)
+    witness = json.dumps([_witness_json(w1), _witness_json(w2)], indent=2) + "\n"
+    got = (
+        delta,
+        stats.fc_entries,
+        stats.fp_entries,
+        stats.fl_entries,
+        _digest(write_enewick(m)),
+        _digest(witness),
+    )
+    assert got == want
+
+
+# -- rule queries against materialized clade sets -------------------------------
+
+
+def _materialized_values(nd, comp) -> set[int]:
+    """One- and two-clade values of every prime in comp, built from scratch:
+    walk the prime's nodes, drop side-internal nodes of its own cycle's
+    window and of any other cycle whose root it holds, add its own cycle's
+    pairs inside the window and every pair of another cycle whose root it
+    holds."""
+    n = nd.n
+    d = n.clades()
+    out = set()
+    for p in comp:
+        if p[0] == "D":
+            heads = [p[1]]
+        else:
+            _, ci, u, v = p
+            heads = [nd.next_a(ci, u), nd.next_b(ci, v)]
+        nodes, stack = set(heads), list(heads)
+        while stack:
+            for c in n.succ[stack.pop()]:
+                if c not in nodes:
+                    nodes.add(c)
+                    stack.append(c)
+        own = p[1] if p[0] == "C" else None
+        window = set(nd.window(own, p[2], p[3])) if p[0] == "C" else set()
+        for z in nodes:
+            for cj, c in enumerate(nd.cycles):
+                if z in c.side_a or z in c.side_b:
+                    if z in window if cj == own else c.root in nodes:
+                        break
+            else:
+                out.add(d[z])
+        for cj, c in enumerate(nd.cycles):
+            t = c.reticulation
+            if cj == own:
+                xs = [t, *(x for x in c.side_a if x in window)]
+                ys = [t, *(y for y in c.side_b if y in window)]
+            elif c.root in nodes:
+                xs, ys = [t, *c.side_a], [t, *c.side_b]
+            else:
+                continue
+            out |= {d[x] | d[y] for x in xs for y in ys if (x, y) != (t, t)}
+    return out
+
+
+@pytest.mark.parametrize("spec", [(34, 3, 12, 10), (48, 4, 13, 5), (30, 5, 20, 0)])
+def test_has_value_matches_materialized_clades(spec):
+    solver = _Solver(*_frozen_pair(*spec))
+    solver.run()
+    asked = 0
+    for comps in list(solver.fc_memo):
+        for s in (0, 1):
+            other = solver.nd[1 - s]
+            known = _materialized_values(other, comps[1 - s])
+            index = other.comp_index(comps[1 - s])
+            queries = {q for *_, qs in solver.candidates(s, comps[s]) for q in qs}
+            for q in queries | set(other.one_wit) | set(other.two_wit):
+                assert other.has_value(index, q) == (q in known), (comps, s, q)
+            asked += len(queries)
+    assert asked > 0
