@@ -21,6 +21,7 @@ from .errors import (
     Degree2Node,
     InvalidParameters,
     LeafSetMismatch,
+    NestingTooDeep,
     NotWeaklyGalled,
     PhyloError,
     UnknownNode,
@@ -338,12 +339,17 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
+    except RecursionError:
+        # The parser, writer, isomorphism test and solver still recurse once
+        # per nesting level; past Python's limit the input is refused.
+        error: PhyloError = NestingTooDeep("input is nested too deeply to process")
     except PhyloError as exc:
-        print(f"error: {exc.code}: {exc}", file=sys.stderr)
-        return 2
+        error = exc
     except OSError as exc:
         print(f"error: IOError: {exc}", file=sys.stderr)
         return 2
+    print(f"error: {error.code}: {error}", file=sys.stderr)
+    return 2
 
 
 if __name__ == "__main__":

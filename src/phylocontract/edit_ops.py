@@ -26,8 +26,9 @@ from .errors import (
     KeyMismatch,
     LeafSetMismatch,
     NotAnEdge,
+    SelfCheckFailed,
 )
-from .network_core import Network, NodeId, topological_order, validate, is_isomorphic
+from .network_core import Network, NodeId, topological_order, validate
 
 
 @dataclass(frozen=True)
@@ -55,12 +56,6 @@ class WitnessStructure:
     """For each internal node of the target, the source internals merged into it."""
 
     parts: dict[NodeId, frozenset[NodeId]]
-
-    def part_of(self, source_node: NodeId) -> NodeId:
-        for key, members in self.parts.items():
-            if source_node in members:
-                return key
-        raise KeyError(source_node)
 
 
 @dataclass(frozen=True)
@@ -94,18 +89,9 @@ def contract(n: Network, c: Contraction) -> Network:
         # self-loop under set semantics and marks the result cyclic.
         succ[w].add(w)
 
-    pred_sets: dict[NodeId, list[NodeId]] = {x: [] for x in succ}
-    for x, ys in succ.items():
-        for y in ys:
-            pred_sets[y].append(x)
     leaf_label = {x: lab for x, lab in n.leaf_label.items() if x != v}
     root = w if n.root in (u, v) else n.root
-    return Network(
-        {x: tuple(sorted(ys)) for x, ys in succ.items()},
-        {x: tuple(sorted(ys)) for x, ys in pred_sets.items()},
-        leaf_label,
-        root,
-    )
+    return Network(succ, leaf_label, root)
 
 
 def _alternative_path(n: Network, u: NodeId, v: NodeId) -> list[NodeId] | None:
@@ -366,6 +352,14 @@ def validate_witness(
     return True, None
 
 
+def check_witness(n: Network, m: Network, w: WitnessStructure) -> None:
+    """Self-check on a computed result: raise SelfCheckFailed unless w
+    certifies m as a contraction of n."""
+    valid, why = validate_witness(n, m, w)
+    if not valid:
+        raise SelfCheckFailed(f"witness check failed: {why}")
+
+
 def witness_to_sequence(n: Network, m: Network, w: WitnessStructure) -> EditSequence:
     """Contractions collapsing each witness part, in a fixed admissible order.
 
@@ -446,13 +440,3 @@ def quotient(n: Network, parts: Sequence[Iterable[NodeId]]) -> tuple[Network, di
 
 def delta_mcc_from_common(n1: Network, n2: Network, m: Network) -> int:
     return n1.num_internal + n2.num_internal - 2 * m.num_internal
-
-
-def star_sequence_isomorphic(n: Network) -> bool:
-    """Sanity helper: contract_to_star really ends at the star network."""
-    final = apply_sequence(n, contract_to_star(n))
-    if final.num_internal != 1:
-        return False
-    star_edges = [(0, i + 1) for i in range(len(n.leaf_universe))]
-    star = validate(star_edges, {i + 1: lab for i, lab in enumerate(n.leaf_universe)})
-    return is_isomorphic(final, star)

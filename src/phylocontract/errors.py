@@ -93,7 +93,7 @@ class Degree2Node(PhyloError):
     pass
 
 
-# --- oracle budgets --------------------------------------------------------
+# --- budgets and limits -----------------------------------------------------
 
 class SizeCapExceeded(PhyloError):
     pass
@@ -101,6 +101,16 @@ class SizeCapExceeded(PhyloError):
 
 class BudgetExhausted(PhyloError):
     pass
+
+
+class NestingTooDeep(PhyloError):
+    """The input nests deeper than the recursive traversals can follow."""
+
+
+# --- internal self-checks ---------------------------------------------------
+
+class SelfCheckFailed(PhyloError):
+    """A result failed the check that guards its correctness (a bug)."""
 
 
 # --- generators ------------------------------------------------------------

@@ -127,6 +127,35 @@ def is_splittable(inst: SetSplittingInstance) -> bool:
 
 
 # ---------------------------------------------------------------------------
+# network construction
+
+
+class _Builder:
+    """Node ids handed out in call order, plus the edge set and leaf labels
+    of the network under construction."""
+
+    def __init__(self):
+        self.next_id = 0
+        self.edges: set[tuple[NodeId, NodeId]] = set()
+        self.labels: dict[NodeId, str] = {}
+
+    def node(self) -> NodeId:
+        u = self.next_id
+        self.next_id += 1
+        return u
+
+    def leaf(self, lab: str, parent: NodeId | None = None) -> NodeId:
+        u = self.node()
+        self.labels[u] = lab
+        if parent is not None:
+            self.edges.add((parent, u))
+        return u
+
+    def network(self) -> Network:
+        return validate(self.edges, self.labels)
+
+
+# ---------------------------------------------------------------------------
 # diameter pairs
 
 
@@ -181,54 +210,36 @@ def _root_leaf_feasible(num_leaves: int, m: int) -> bool:
 
 
 def _build_chain(
-    edges: set,
-    labels: dict,
+    g: _Builder,
     top: NodeId | None,
-    next_id: int,
     side_leaves: list[str],
     bottom_leaves: list[str],
     b: int,
     c: int,
-) -> int:
+) -> None:
     """Spine of b nodes then c vertex-disjoint triangles, hanging leaves as
-    given; the final node takes `bottom_leaves`. Returns next free id."""
-    fresh = next_id
+    given; the final node takes `bottom_leaves`."""
     side = list(side_leaves)
-
-    def new(kind: str | None = None) -> NodeId:
-        nonlocal fresh
-        u = fresh
-        fresh += 1
-        if kind is not None:
-            labels[u] = kind
-        return u
-
-    def leaf(lab: str) -> NodeId:
-        return new(lab)
-
     cur = top
     for _ in range(b):
-        s = new()
+        s = g.node()
         if cur is not None:
-            edges.add((cur, s))
-        edges.add((s, leaf(side.pop(0))))
+            g.edges.add((cur, s))
+        g.leaf(side.pop(0), s)
         cur = s
     last = cur
     for _ in range(c):
-        t_top = new()
+        t_top = g.node()
         if last is not None:
-            edges.add((last, t_top))
-        t_side = new()
-        t_ret = new()
-        edges.add((t_top, t_side))
-        edges.add((t_top, t_ret))
-        edges.add((t_side, t_ret))
-        edges.add((t_side, leaf(side.pop(0))))
+            g.edges.add((last, t_top))
+        t_side = g.node()
+        t_ret = g.node()
+        g.edges.update([(t_top, t_side), (t_top, t_ret), (t_side, t_ret)])
+        g.leaf(side.pop(0), t_side)
         last = t_ret
     assert not side
     for lab in bottom_leaves:
-        edges.add((last, leaf(lab)))
-    return fresh
+        g.leaf(lab, last)
 
 
 def _path_chain(labels: list[str], m: int, deep: str) -> Network:
@@ -242,10 +253,9 @@ def _path_chain(labels: list[str], m: int, deep: str) -> Network:
     side = avail[: b + c]
     bottom = avail[b + c :]
     assert len(bottom) == extra
-    edges: set[tuple[NodeId, NodeId]] = set()
-    lab: dict[NodeId, str] = {}
-    _build_chain(edges, lab, None, 0, side, [*bottom, deep], b, c)
-    n = _finish(edges, lab, m)
+    g = _Builder()
+    _build_chain(g, None, side, [*bottom, deep], b, c)
+    n = _finish(g.edges, g.labels, m)
     assert is_weakly_galled(n)
     return n
 
@@ -259,12 +269,12 @@ def _root_leaf_cyc(labels: list[str], m: int, top: str) -> Network:
     avail = [x for x in labels if x != top]
     side = avail[: b + c]
     bottom = avail[b + c :]
-    edges: set[tuple[NodeId, NodeId]] = set()
-    lab: dict[NodeId, str] = {0: top}
-    root = 1
-    edges.add((root, 0))
-    _build_chain(edges, lab, root, 2, side, bottom, b, c)
-    n = _finish(edges, lab, m)
+    g = _Builder()
+    top_leaf = g.leaf(top)
+    root = g.node()
+    g.edges.add((root, top_leaf))
+    _build_chain(g, root, side, bottom, b, c)
+    n = _finish(g.edges, g.labels, m)
     assert is_weakly_galled(n)
     assert bottom, "the last chain node must carry at least one leaf"
     return n
@@ -346,42 +356,39 @@ def diameter_pair(num_leaves: int, m: int, mprime: int) -> tuple[Network, Networ
 # hardness reductions
 
 
-def _out_caterpillar(
-    edges: set, attach: NodeId, targets: list[NodeId], next_id: int
-) -> tuple[int, NodeId]:
+def _out_caterpillar(g: _Builder, attach: NodeId, targets: list[NodeId]) -> NodeId:
     """attach -> p1 -> ... spine; p_i emits targets[i-1]; the last spine node
-    emits the final two targets. One target: direct edge. Returns
-    (next id, last spine node or attach)."""
+    emits the final two targets. One target: direct edge. Returns the last
+    spine node, or attach."""
     k = len(targets)
     assert k >= 1
     if k == 1:
-        edges.add((attach, targets[0]))
-        return next_id, attach
-    spine = list(range(next_id, next_id + k - 1))
-    edges.add((attach, spine[0]))
+        g.edges.add((attach, targets[0]))
+        return attach
+    spine = [g.node() for _ in range(k - 1)]
+    g.edges.add((attach, spine[0]))
     for i in range(k - 2):
-        edges.add((spine[i], spine[i + 1]))
+        g.edges.add((spine[i], spine[i + 1]))
     for i in range(k - 1):
-        edges.add((spine[i], targets[i]))
-    edges.add((spine[-1], targets[-1]))
-    return next_id + k - 1, spine[-1]
+        g.edges.add((spine[i], targets[i]))
+    g.edges.add((spine[-1], targets[-1]))
+    return spine[-1]
 
 
-def _in_caterpillar(edges: set, sources: list[NodeId], sink: NodeId, next_id: int) -> int:
+def _in_caterpillar(g: _Builder, sources: list[NodeId], sink: NodeId) -> None:
     """Mirror image: sources feed a spine that drains into sink."""
     k = len(sources)
     assert k >= 1
     if k == 1:
-        edges.add((sources[0], sink))
-        return next_id
-    spine = list(range(next_id, next_id + k - 1))
+        g.edges.add((sources[0], sink))
+        return
+    spine = [g.node() for _ in range(k - 1)]
     for i in range(k - 2):
-        edges.add((spine[i + 1], spine[i]))
+        g.edges.add((spine[i + 1], spine[i]))
     for i in range(k - 1):
-        edges.add((sources[i], spine[i]))
-    edges.add((sources[-1], spine[-1]))
-    edges.add((spine[0], sink))
-    return next_id + k - 1
+        g.edges.add((sources[i], spine[i]))
+    g.edges.add((sources[-1], spine[-1]))
+    g.edges.add((spine[0], sink))
 
 
 def reduction_deg_bounded(inst: SetSplittingInstance) -> tuple[Network, Network, int]:
@@ -395,92 +402,42 @@ def reduction_deg_bounded(inst: SetSplittingInstance) -> tuple[Network, Network,
     if mm < 1 or nn < 1:
         raise InvalidParameters("need at least one set and one element")
 
-    fresh = 0
-
-    def new() -> NodeId:
-        nonlocal fresh
-        u = fresh
-        fresh += 1
-        return u
-
-    labels: dict[NodeId, str] = {}
-
-    def leaf(lab: str) -> NodeId:
-        u = new()
-        labels[u] = lab
-        return u
-
-    r1, r1p, a1, a1p, b1, b1p = (new() for _ in range(6))
-    l1, l1p, l2, l2p, lr = (leaf(x) for x in ("l1", "l1p", "l2", "l2p", "lr"))
-    u_s = [new() for _ in sets]
-    v_s = [new() for _ in sets]
-    t_x = [new() for _ in elems]
-    ls = [leaf(f"lS{i + 1}") for i in range(mm)]
-    lsp = [leaf(f"lS{i + 1}p") for i in range(mm)]
-
-    edges: set[tuple[NodeId, NodeId]] = {
-        (r1, r1p),
-        (r1p, a1),
-        (r1p, b1),
-        (a1, a1p),
-        (a1p, l1),
-        (a1p, l1p),
-        (b1, b1p),
-        (b1p, l2),
-        (b1p, l2p),
-    }
-    fresh, last_p = _out_caterpillar(edges, r1, u_s, fresh)
-    edges.add((last_p, lr))  # lr rides on the last spine node
-    fresh, _ = _out_caterpillar(edges, a1, t_x, fresh)
-    fresh = _in_caterpillar(edges, t_x, b1, fresh)
+    g = _Builder()
+    r1, r1p, a1, a1p, b1, b1p = (g.node() for _ in range(6))
+    l1, l1p, l2, l2p, lr = (g.leaf(x) for x in ("l1", "l1p", "l2", "l2p", "lr"))
+    u_s = [g.node() for _ in sets]
+    v_s = [g.node() for _ in sets]
+    t_x = [g.node() for _ in elems]
+    ls = [g.leaf(f"lS{i + 1}") for i in range(mm)]
+    lsp = [g.leaf(f"lS{i + 1}p") for i in range(mm)]
+    g.edges.update([(r1, r1p), (r1p, a1), (r1p, b1), (a1, a1p), (a1p, l1), (a1p, l1p)])
+    g.edges.update([(b1, b1p), (b1p, l2), (b1p, l2p)])
+    last_p = _out_caterpillar(g, r1, u_s)
+    g.edges.add((last_p, lr))  # lr rides on the last spine node
+    _out_caterpillar(g, a1, t_x)
+    _in_caterpillar(g, t_x, b1)
     for i, s in enumerate(sets):
-        edges.add((u_s[i], ls[i]))
-        edges.add((v_s[i], lsp[i]))
+        g.edges.add((u_s[i], ls[i]))
+        g.edges.add((v_s[i], lsp[i]))
         for j, x in enumerate(elems):
             if x in s:
-                edges.add((u_s[i], t_x[j]))
-                edges.add((t_x[j], v_s[i]))
-    n1 = validate(edges, labels)
+                g.edges.add((u_s[i], t_x[j]))
+                g.edges.add((t_x[j], v_s[i]))
+    n1 = g.network()
 
     # second network
-    fresh2 = 0
-
-    def new2() -> NodeId:
-        nonlocal fresh2
-        u = fresh2
-        fresh2 += 1
-        return u
-
-    labels2: dict[NodeId, str] = {}
-
-    def leaf2(lab: str) -> NodeId:
-        u = new2()
-        labels2[u] = lab
-        return u
-
-    r2, s1, s2, x2, y2, a2, b2 = (new2() for _ in range(7))
-    m_lr = leaf2("lr")
-    m_l1, m_l1p = leaf2("l1"), leaf2("l1p")
-    m_l2, m_l2p = leaf2("l2"), leaf2("l2p")
-    m_ls = [leaf2(f"lS{i + 1}") for i in range(mm)]
-    m_lsp = [leaf2(f"lS{i + 1}p") for i in range(mm)]
-    edges2: set[tuple[NodeId, NodeId]] = {
-        (r2, m_lr),
-        (r2, s1),
-        (r2, s2),
-        (s1, m_l1),
-        (s1, x2),
-        (x2, a2),
-        (s2, m_l2),
-        (s2, y2),
-        (y2, b2),
-        (a2, b2),
-    }
-    fresh2, last_a = _out_caterpillar(edges2, a2, m_ls, fresh2)
-    edges2.add((last_a, m_l1p))
-    fresh2, last_b = _out_caterpillar(edges2, b2, m_lsp, fresh2)
-    edges2.add((last_b, m_l2p))
-    n2 = validate(edges2, labels2)
+    g = _Builder()
+    r2, s1, s2, x2, y2, a2, b2 = (g.node() for _ in range(7))
+    m_lr = g.leaf("lr")
+    m_l1, m_l1p = g.leaf("l1"), g.leaf("l1p")
+    m_l2, m_l2p = g.leaf("l2"), g.leaf("l2p")
+    m_ls = [g.leaf(f"lS{i + 1}") for i in range(mm)]
+    m_lsp = [g.leaf(f"lS{i + 1}p") for i in range(mm)]
+    g.edges.update([(r2, m_lr), (r2, s1), (r2, s2), (s1, m_l1), (s1, x2), (x2, a2)])
+    g.edges.update([(s2, m_l2), (s2, y2), (y2, b2), (a2, b2)])
+    g.edges.add((_out_caterpillar(g, a2, m_ls), m_l1p))
+    g.edges.add((_out_caterpillar(g, b2, m_lsp), m_l2p))
+    n2 = g.network()
     assert n1.leaf_universe == n2.leaf_universe
     return n1, n2, 3
 
@@ -489,23 +446,15 @@ def deg_bounded_target(inst: SetSplittingInstance) -> Network:
     """The 3-internal network that reduction_deg_bounded's pair contracts to
     exactly when the instance is splittable."""
     mm = len(inst.sets)
-    r, a, b = 0, 1, 2
-    edges = {(r, a), (r, b), (a, b)}
-    labels: dict[NodeId, str] = {}
-    nid = 3
-
-    def leaf(parent: NodeId, lab: str):
-        nonlocal nid
-        labels[nid] = lab
-        edges.add((parent, nid))
-        nid += 1
-
-    leaf(r, "lr")
+    g = _Builder()
+    r, a, b = g.node(), g.node(), g.node()
+    g.edges.update([(r, a), (r, b), (a, b)])
+    g.leaf("lr", r)
     for lab in ("l1", "l1p", *(f"lS{i + 1}" for i in range(mm))):
-        leaf(a, lab)
+        g.leaf(lab, a)
     for lab in ("l2", "l2p", *(f"lS{i + 1}p" for i in range(mm))):
-        leaf(b, lab)
-    return validate(edges, labels)
+        g.leaf(lab, b)
+    return g.network()
 
 
 def reduction_five_leaves(inst: SetSplittingInstance) -> tuple[Network, Network, int]:
@@ -517,113 +466,69 @@ def reduction_five_leaves(inst: SetSplittingInstance) -> tuple[Network, Network,
     if not sets or not elems:
         raise InvalidParameters("need at least one set and one element")
 
-    fresh = 0
-
-    def new() -> NodeId:
-        nonlocal fresh
-        u = fresh
-        fresh += 1
-        return u
-
-    labels: dict[NodeId, str] = {}
-
-    def leaf(lab: str) -> NodeId:
-        u = new()
-        labels[u] = lab
-        return u
-
-    a1, s, t, b1 = (new() for _ in range(4))
-    l1, l2, l3, l4, l4p = (leaf(x) for x in ("l1", "l2", "l3", "l4", "l4p"))
-    u_s = [new() for _ in sets]
-    v_s = [new() for _ in sets]
-    t_x = [new() for _ in elems]
-    edges: set[tuple[NodeId, NodeId]] = {
-        (a1, l1),
-        (a1, s),
-        (s, l2),
-        (s, t),
-        (t, l3),
-        (t, b1),
-        (b1, l4),
-        (b1, l4p),
-    }
+    g = _Builder()
+    a1, s, t, b1 = (g.node() for _ in range(4))
+    l1, l2, l3, l4, l4p = (g.leaf(x) for x in ("l1", "l2", "l3", "l4", "l4p"))
+    u_s = [g.node() for _ in sets]
+    v_s = [g.node() for _ in sets]
+    t_x = [g.node() for _ in elems]
+    g.edges.update([(a1, l1), (a1, s), (s, l2), (s, t), (t, l3), (t, b1), (b1, l4), (b1, l4p)])
     for j in range(len(elems)):
-        edges.add((s, t_x[j]))
-        edges.add((t_x[j], t))
+        g.edges.add((s, t_x[j]))
+        g.edges.add((t_x[j], t))
     for i, st in enumerate(sets):
-        edges.add((a1, u_s[i]))
-        edges.add((u_s[i], v_s[i]))
-        edges.add((v_s[i], b1))
+        g.edges.add((a1, u_s[i]))
+        g.edges.add((u_s[i], v_s[i]))
+        g.edges.add((v_s[i], b1))
         for j, x in enumerate(elems):
             if x in st:
-                edges.add((u_s[i], t_x[j]))
-                edges.add((t_x[j], v_s[i]))
-    n1 = validate(edges, labels)
+                g.edges.add((u_s[i], t_x[j]))
+                g.edges.add((t_x[j], v_s[i]))
+    n1 = g.network()
     n2 = five_leaves_target()
     assert n1.leaf_universe == n2.leaf_universe
     return n1, n2, 4
 
 
 def five_leaves_target() -> Network:
-    a, b, c, d = range(4)
-    edges = {(a, b), (b, c), (c, d)}
-    labels: dict[NodeId, str] = {}
-    nid = 4
-
-    def leaf(parent: NodeId, lab: str):
-        nonlocal nid
-        labels[nid] = lab
-        edges.add((parent, nid))
-        nid += 1
-
-    leaf(a, "l1")
-    leaf(b, "l2")
-    leaf(c, "l3")
-    leaf(d, "l4")
-    leaf(d, "l4p")
-    return validate(edges, labels)
+    g = _Builder()
+    a, b, c, d = (g.node() for _ in range(4))
+    g.edges.update([(a, b), (b, c), (c, d)])
+    g.leaf("l1", a)
+    g.leaf("l2", b)
+    g.leaf("l3", c)
+    g.leaf("l4", d)
+    g.leaf("l4p", d)
+    return g.network()
 
 
 # ---------------------------------------------------------------------------
 # random weakly galled trees
 
 
-def _random_tree(rng: SplitMix64, labels: list[str]) -> tuple[set, dict, int]:
+def _random_tree(rng: SplitMix64, labels: list[str]) -> _Builder:
     """Random rooted tree with out-degrees in [2, 4] (single-leaf case: a
-    root-leaf edge). Returns (edges, leaf labels, next free id)."""
-    edges: set[tuple[NodeId, NodeId]] = set()
-    leaf_label: dict[NodeId, str] = {}
-    fresh = 0
-
-    def new() -> NodeId:
-        nonlocal fresh
-        u = fresh
-        fresh += 1
-        return u
+    root-leaf edge)."""
+    g = _Builder()
 
     def build(group: list[str]) -> NodeId:
         if len(group) == 1:
-            u = new()
-            leaf_label[u] = group[0]
-            return u
-        u = new()
+            return g.leaf(group[0])
+        u = g.node()
         k = rng.randint(2, min(len(group), 4))
         pool = list(group)
         rng.shuffle(pool)
         cuts = sorted(rng.sample(range(1, len(pool)), k - 1))
         parts = [pool[i:j] for i, j in zip([0, *cuts], [*cuts, len(pool)])]
         for part in parts:
-            edges.add((u, build(part)))
+            g.edges.add((u, build(part)))
         return u
 
     if len(labels) == 1:
-        root = new()
-        u = new()
-        leaf_label[u] = labels[0]
-        edges.add((root, u))
+        g.leaf(labels[0], g.node())
     else:
         build(list(labels))
-    return edges, leaf_label, fresh
+    return g
 
 
 def random_wgt(num_leaves: int, num_reticulations: int, seed: int) -> Network:
@@ -632,8 +537,8 @@ def random_wgt(num_leaves: int, num_reticulations: int, seed: int) -> Network:
     if num_leaves < 1 or num_reticulations < 0:
         raise InvalidParameters("need num_leaves >= 1, num_reticulations >= 0")
     rng = SplitMix64(seed)
-    edges, labels, fresh = _random_tree(rng, [str(i + 1) for i in range(num_leaves)])
-    net = validate(edges, labels)
+    g = _random_tree(rng, [str(i + 1) for i in range(num_leaves)])
+    net, fresh = g.network(), g.next_id
     for _ in range(num_reticulations):
         net, fresh = _insert_reticulation(rng, net, fresh)
     assert len(net.reticulations()) == num_reticulations

@@ -36,8 +36,8 @@ from __future__ import annotations
 import sys
 from dataclasses import dataclass
 
-from .edit_ops import WitnessStructure, quotient, validate_witness
-from .errors import Degree2Node, LeafSetMismatch
+from .edit_ops import WitnessStructure, check_witness, quotient
+from .errors import Degree2Node, LeafSetMismatch, SelfCheckFailed
 from .galled import ReticulationCycle, cycles, has_degree2_node
 from .network_core import Network, NodeId, topological_order
 
@@ -722,7 +722,8 @@ class _Solver:
         try:
             sys.setrecursionlimit(max(limit, 50000))
             val = self.fC(k1, k2)
-            assert val != INF, "the star is always a common contraction"
+            if val == INF:
+                raise SelfCheckFailed("no common contraction, not even the star")
             a1, a2, parts = self.trace_fC(k1, k2)
         finally:
             sys.setrecursionlimit(limit)
@@ -732,16 +733,16 @@ class _Solver:
         p2 = [set(q) for _, q in parts]
         m, part_of1 = quotient(nd1.n, p1)
         m2, part_of2 = quotient(nd2.n, p2)
-        _assert_aligned(m, m2)
+        _check_aligned(m, m2)
         k = len(parts)
         i1 = nd1.n.num_internal
         i2 = nd2.n.num_internal
-        assert val == (i1 - k) + (i2 - k), (val, i1, i2, k)
+        if val != (i1 - k) + (i2 - k):
+            raise SelfCheckFailed(f"cost {val} but {k} parts of {i1} and {i2} internal nodes")
         w1 = WitnessStructure({g: frozenset(p1[g]) for g in range(k)})
         w2 = WitnessStructure({g: frozenset(p2[g]) for g in range(k)})
-        for n, w in ((nd1.n, w1), (nd2.n, w2)):
-            valid, why = validate_witness(n, m, w)
-            assert valid, why
+        check_witness(nd1.n, m, w1)
+        check_witness(nd2.n, m, w2)
         delta = i1 + i2 - 2 * k
         return delta, m, w1, w2
 
@@ -786,7 +787,7 @@ def _run_nodes(nd: _NetData, run) -> tuple[NodeId, ...]:
     return tuple(nodes[lo : hi + 1])
 
 
-def _assert_aligned(m1: Network, m2: Network):
+def _check_aligned(m1: Network, m2: Network):
     internal1 = {
         (u, v)
         for u, v in m1.edges()
@@ -797,10 +798,12 @@ def _assert_aligned(m1: Network, m2: Network):
         for u, v in m2.edges()
         if u not in m2.leaf_label and v not in m2.leaf_label
     }
-    assert internal1 == internal2, "quotients disagree on internal edges"
+    if internal1 != internal2:
+        raise SelfCheckFailed("quotients disagree on internal edges")
     lp1 = {m1.leaf_label[x]: m1.pred[x][0] for x in m1.leaf_label}
     lp2 = {m2.leaf_label[x]: m2.pred[x][0] for x in m2.leaf_label}
-    assert lp1 == lp2, "quotients disagree on leaf attachment"
+    if lp1 != lp2:
+        raise SelfCheckFailed("quotients disagree on leaf attachment")
 
 
 def solve(n1: Network, n2: Network):

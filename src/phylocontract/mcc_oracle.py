@@ -9,7 +9,7 @@ question by backtracking over part assignments.
 
 from __future__ import annotations
 
-from .edit_ops import WitnessStructure, quotient, validate_witness
+from .edit_ops import WitnessStructure, check_witness, quotient, validate_witness
 from .errors import (
     BudgetExhausted,
     Degree2Node,
@@ -198,8 +198,7 @@ def exact_mcc(
         for x, g in part_of.items():
             groups.setdefault(g, set()).add(x)
         w1 = WitnessStructure({g: frozenset(s) for g, s in groups.items()})
-        valid, why = validate_witness(n1, m, w1)
-        assert valid, why
+        check_witness(n1, m, w1)
         best = (key, m, w1, w2)
 
     assert best is not None  # the all-in-one-part partition always survives
@@ -250,7 +249,8 @@ def tree_mcc(
         succ[leaf] = set()
         succ[index[host]].add(leaf)
         leaf_label[leaf] = lbl
-    m = Network.from_adjacency(succ, leaf_label)
+    # The full leaf set is shared by both roots and sorts last.
+    m = Network(succ, leaf_label, root=k - 1)
 
     def witness(t: Network, d: dict[NodeId, int]) -> WitnessStructure:
         parts: dict[NodeId, set[NodeId]] = {i: set() for i in range(k)}
@@ -263,8 +263,7 @@ def tree_mcc(
         return WitnessStructure({i: frozenset(p) for i, p in parts.items()})
 
     w1, w2 = witness(t1, d1), witness(t2, d2)
-    for t, w in ((t1, w1), (t2, w2)):
-        valid, why = validate_witness(t, m, w)
-        assert valid, why
+    check_witness(t1, m, w1)
+    check_witness(t2, m, w2)
     delta = t1.num_internal + t2.num_internal - 2 * k
     return delta, m, w1, w2

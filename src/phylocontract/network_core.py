@@ -10,7 +10,7 @@ cannot handle them reject networks explicitly.
 from __future__ import annotations
 
 import heapq
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Mapping
 
 from .errors import (
     CyclicGraph,
@@ -25,116 +25,46 @@ from .errors import (
 NodeId = int
 
 
-class LeafSet:
-    """Set of leaf labels fingerprinted as a bitmask over a fixed universe."""
-
-    __slots__ = ("bits", "universe")
-
-    def __init__(self, bits: int, universe: tuple[str, ...]):
-        self.bits = bits
-        self.universe = universe
-
-    @classmethod
-    def from_labels(cls, labels: Iterable[str], universe: tuple[str, ...]) -> "LeafSet":
-        index = {lab: i for i, lab in enumerate(universe)}
-        bits = 0
-        for lab in labels:
-            bits |= 1 << index[lab]
-        return cls(bits, universe)
-
-    def labels(self) -> tuple[str, ...]:
-        return tuple(lab for i, lab in enumerate(self.universe) if self.bits >> i & 1)
-
-    def union(self, other: "LeafSet") -> "LeafSet":
-        assert self.universe == other.universe
-        return LeafSet(self.bits | other.bits, self.universe)
-
-    def issubset(self, other: "LeafSet") -> bool:
-        assert self.universe == other.universe
-        return self.bits & ~other.bits == 0
-
-    def __len__(self) -> int:
-        return self.bits.bit_count()
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, LeafSet)
-            and self.bits == other.bits
-            and self.universe == other.universe
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.bits, self.universe))
-
-    def __repr__(self) -> str:
-        return "{" + ",".join(self.labels()) + "}"
-
-
 class Network:
     """Immutable rooted DAG with labeled leaves.
 
     Adjacency is stored as sorted tuples so that every traversal of the same
-    network is deterministic. Instances are produced by :func:`validate` or
-    by trusted internal constructors in the edit modules.
+    network is deterministic. Instances are produced by :func:`validate`;
+    `contract` and `tree_mcc` are the only trusted callers that skip it.
     """
 
     __slots__ = ("succ", "pred", "leaf_label", "root", "_universe", "_clades", "_depths")
 
     def __init__(
         self,
-        succ: dict[NodeId, tuple[NodeId, ...]],
-        pred: dict[NodeId, tuple[NodeId, ...]],
-        leaf_label: dict[NodeId, str],
+        succ: Mapping[NodeId, Iterable[NodeId]],
+        leaf_label: Mapping[NodeId, str],
         root: NodeId,
     ):
-        self.succ = succ
-        self.pred = pred
-        self.leaf_label = leaf_label
+        """Unchecked: `succ` must map every node of a valid network to its
+        out-neighbors; its key order becomes the node order."""
+        self.succ = {u: tuple(sorted(vs)) for u, vs in succ.items()}
+        pred: dict[NodeId, list[NodeId]] = {u: [] for u in self.succ}
+        for u, vs in self.succ.items():
+            for v in vs:
+                pred[v].append(u)
+        self.pred = {v: tuple(sorted(ps)) for v, ps in pred.items()}
+        self.leaf_label = dict(leaf_label)
         self.root = root
         self._universe: tuple[str, ...] | None = None
         self._clades: dict[NodeId, int] | None = None
         self._depths: dict[NodeId, int] | None = None
-
-    # -- construction ------------------------------------------------------
-
-    @classmethod
-    def from_adjacency(
-        cls, succ_sets: Mapping[NodeId, Iterable[NodeId]], leaf_label: Mapping[NodeId, str]
-    ) -> "Network":
-        """Trusted fast path: caller guarantees validity."""
-        succ: dict[NodeId, tuple[NodeId, ...]] = {}
-        pred_sets: dict[NodeId, list[NodeId]] = {u: [] for u in succ_sets}
-        for u, vs in succ_sets.items():
-            out = tuple(sorted(set(vs)))
-            succ[u] = out
-            for v in out:
-                pred_sets.setdefault(v, []).append(u)
-        for v in pred_sets:
-            succ.setdefault(v, ())
-        pred = {v: tuple(sorted(ps)) for v, ps in pred_sets.items()}
-        roots = [u for u in succ if not pred[u]]
-        assert len(roots) == 1, roots
-        return cls(succ, pred, dict(leaf_label), roots[0])
 
     # -- basic queries -------------------------------------------------------
 
     def nodes(self) -> list[NodeId]:
         return sorted(self.succ)
 
-    def num_nodes(self) -> int:
-        return len(self.succ)
-
     def edges(self) -> list[tuple[NodeId, NodeId]]:
         return [(u, v) for u in sorted(self.succ) for v in self.succ[u]]
 
     def num_edges(self) -> int:
         return sum(len(vs) for vs in self.succ.values())
-
-    def out(self, u: NodeId) -> tuple[NodeId, ...]:
-        return self.succ[u]
-
-    def inn(self, u: NodeId) -> tuple[NodeId, ...]:
-        return self.pred[u]
 
     def has_edge(self, u: NodeId, v: NodeId) -> bool:
         return v in self.succ.get(u, ())
@@ -300,13 +230,7 @@ def validate(
             if indeg[u] != 1:
                 raise LeafWithInDegreeNot1(f"leaf {u} has in-degree {indeg[u]}")
 
-    succ = {u: tuple(sorted(vs)) for u, vs in succ_sets.items()}
-    pred_sets: dict[NodeId, list[NodeId]] = {u: [] for u in succ_sets}
-    for u, vs in succ.items():
-        for v in vs:
-            pred_sets[v].append(u)
-    pred = {v: tuple(sorted(ps)) for v, ps in pred_sets.items()}
-    return Network(succ, pred, dict(leaf_labels), root)
+    return Network(succ_sets, leaf_labels, root)
 
 
 def is_acyclic(n: Network) -> bool:
@@ -339,13 +263,6 @@ def topological_order(n: Network) -> list[NodeId]:
                 heapq.heappush(heap, v)
     assert len(order) == len(n.succ)
     return order
-
-
-def reachable_leaves(n: Network, u: NodeId) -> LeafSet:
-    """The clade of u: all leaf labels reachable from u."""
-    if u not in n.succ:
-        raise UnknownNode(f"node {u} not in network")
-    return LeafSet(n.clades()[u], n.leaf_universe)
 
 
 def _internal_signatures(n: Network) -> dict[NodeId, tuple]:

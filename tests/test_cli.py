@@ -1,6 +1,7 @@
 """Command-line surface: outputs, exit codes, and the error channel."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -59,6 +60,24 @@ def test_missing_file_reports_ioerror(tmp_path, capsys):
     code, _, err = run(capsys, ["validate", str(tmp_path / "absent.nwk")])
     assert code == 2
     assert err.startswith("error: IOError:")
+
+
+def _caterpillar(depth: int) -> str:
+    text = "0"
+    for i in range(1, depth + 1):
+        text = f"({text},{i})"
+    return text + ";"
+
+
+@pytest.mark.parametrize("cmd", ["validate", "mcc wgt", "iso", "star", "clades"])
+def test_deep_input_exits_two(files, capsys, cmd):
+    # 1200 nesting levels pass Python's default recursion limit; the input is
+    # refused with the structured error instead of a traceback.
+    path = files("deep.nwk", _caterpillar(1200))
+    argv = cmd.split() + [path] * (2 if cmd in ("mcc wgt", "iso") else 1)
+    code, out, err = run(capsys, argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: NestingTooDeep:")
 
 
 # -- iso --------------------------------------------------------------------------
@@ -174,10 +193,10 @@ def test_mcc_wgt_emit_and_witness(files, capsys, tmp_path):
     assert code == 0
     assert f"wrote {emit}" in out and f"wrote {wit}" in out
 
-    common = parse_enewick(open(emit).read())
+    common = parse_enewick(Path(emit).read_text())
     assert is_isomorphic(common, parse_enewick(STAR3_TEXT))
 
-    payload = json.loads(open(wit).read())
+    payload = json.loads(Path(wit).read_text())
     assert isinstance(payload, list) and len(payload) == 2
     for obj, src in zip(payload, (T3A_TEXT, T3B_TEXT)):
         n = parse_enewick(src)
@@ -257,10 +276,10 @@ def test_gen_diameter_writes_pair(files, capsys, tmp_path):
     )
     assert code == 0
     assert f"wrote {prefix}1.nwk" in out and f"wrote {prefix}2.nwk" in out
-    n1 = parse_enewick(open(prefix + "1.nwk").read())
-    n2 = parse_enewick(open(prefix + "2.nwk").read())
+    t1, t2 = Path(prefix + "1.nwk").read_text(), Path(prefix + "2.nwk").read_text()
+    n1, n2 = parse_enewick(t1), parse_enewick(t2)
     assert n1.num_internal == 3 and n2.num_internal == 3
-    a, b = files("a.nwk", open(prefix + "1.nwk").read()), files("b.nwk", open(prefix + "2.nwk").read())
+    a, b = files("a.nwk", t1), files("b.nwk", t2)
     _, mcc_out, _ = run(capsys, ["mcc", "wgt", a, b])
     assert mcc_out.startswith("delta=4 ")
 

@@ -1,5 +1,6 @@
 """Instance generators: RNG, hardness gadgets, diameter pairs, random WGTs."""
 
+import hashlib
 import itertools
 
 import pytest
@@ -268,3 +269,55 @@ def test_random_wgt_reports_infeasible_parameters():
 def test_random_wgt_distinct_seeds_vary():
     texts = {write_enewick(random_wgt(6, 1, s)) for s in range(25)}
     assert len(texts) > 5
+
+
+# -- frozen node ids ----------------------------------------------------------
+# The eNewick tests above freeze labels and shape; these freeze node ids too.
+# Each case hashes (sorted edges, sorted leaf labels) of every network built.
+
+
+def _frozen_ids(nets) -> str:
+    ids = [(sorted(n.edges()), sorted(n.leaf_label.items())) for n in nets]
+    return hashlib.sha256(repr(ids).encode()).hexdigest()[:16]
+
+
+def _diameter_grid(l):
+    return [n for m in range(2, 8) for mp in range(2, 8) for n in diameter_pair(l, m, mp)]
+
+
+def _reductions(text):
+    inst = parse_set_splitting(text)
+    return [
+        *reduction_deg_bounded(inst)[:2],
+        deg_bounded_target(inst),
+        *reduction_five_leaves(inst)[:2],
+        five_leaves_target(),
+    ]
+
+
+@pytest.mark.parametrize(
+    "build,want",
+    [
+        pytest.param(lambda: _diameter_grid(4), "62c9c3dd56da7930", id="diameter-4"),
+        pytest.param(lambda: _diameter_grid(5), "15d6b0e7a4e46c48", id="diameter-5"),
+        pytest.param(lambda: _diameter_grid(6), "a9b5e78ba9f64ca0", id="diameter-6"),
+        pytest.param(lambda: _reductions("1 2\n1 2\n"), "b12b2b99556b386e", id="reductions-12"),
+        pytest.param(lambda: _reductions("1\n1\n"), "432728031ab0f780", id="reductions-1"),
+        pytest.param(
+            lambda: _reductions("a b c\na b\nb c\na c\n"), "b25d5fe7e7af0c44", id="reductions-abc"
+        ),
+        pytest.param(lambda: [random_wgt(1, 0, 0)], "9eed4f170beebc55", id="random-1-0-0"),
+        pytest.param(lambda: [random_wgt(6, 2, 11)], "a407e3149b8cdea7", id="random-6-2-11"),
+        pytest.param(lambda: [random_wgt(12, 3, 1)], "5640f9ef86a93066", id="random-12-3-1"),
+        pytest.param(lambda: [random_wgt(20, 4, 2)], "477087c15032b606", id="random-20-4-2"),
+        pytest.param(lambda: [random_wgt(30, 5, 3)], "e3072185915fd912", id="random-30-5-3"),
+    ],
+)
+def test_generator_node_ids_are_frozen(build, want):
+    assert _frozen_ids(build()) == want
+
+
+def test_five_leaves_target_ids():
+    n = five_leaves_target()
+    assert sorted(n.edges()) == [(0, 1), (0, 4), (1, 2), (1, 5), (2, 3), (2, 6), (3, 7), (3, 8)]
+    assert sorted(n.leaf_label.items()) == [(4, "l1"), (5, "l2"), (6, "l3"), (7, "l4"), (8, "l4p")]

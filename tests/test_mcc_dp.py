@@ -2,6 +2,10 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -283,3 +287,42 @@ def test_has_value_matches_materialized_clades(spec):
                 assert other.has_value(index, q) == (q in known), (comps, s, q)
             asked += len(queries)
     assert asked > 0
+
+
+# -- self-checks ----------------------------------------------------------------
+
+
+SELF_CHECK_SCRIPT = """
+import sys
+import phylocontract.edit_ops as edit_ops
+from phylocontract import exact_mcc, parse_enewick, solve, tree_mcc
+from phylocontract.errors import SelfCheckFailed
+
+print(f"optimize={sys.flags.optimize}")
+edit_ops.validate_witness = lambda n, m, w: (False, "planted")
+a, b = parse_enewick("((1,2),3);"), parse_enewick("((1,3),2);")
+for f in (solve, exact_mcc, tree_mcc):
+    try:
+        f(a, b)
+    except SelfCheckFailed as exc:
+        print(f.__name__, exc)
+"""
+
+
+def test_witness_self_checks_survive_python_O():
+    # python -O drops asserts; the checks that end solve, exact_mcc and
+    # tree_mcc must still catch a witness that fails validation.
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", SELF_CHECK_SCRIPT],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "optimize=1",
+        *(f"{name} witness check failed: planted" for name in ("solve", "exact_mcc", "tree_mcc")),
+    ]
