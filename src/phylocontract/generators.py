@@ -10,15 +10,16 @@ splittability.
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass
 
 from .errors import (
     GenerationFailed,
     InvalidParameters,
-    PhyloError,
+    SelfCheckFailed,
     SyntaxError as ParseError,
 )
-from .galled import cycles, is_weakly_galled
+from .galled import is_weakly_galled
 from .network_core import Network, NodeId, validate
 
 __all__ = [
@@ -67,9 +68,22 @@ class SplitMix64:
         return seq[self.randrange(len(seq))]
 
     def shuffle(self, seq: list) -> None:
+        # Fisher-Yates with j = self.randrange(i + 1), next64 and randrange
+        # inlined: the same draws at a fraction of the call overhead.
+        state, mask = self.state, _MASK
         for i in range(len(seq) - 1, 0, -1):
-            j = self.randrange(i + 1)
+            while True:
+                state = (state + 0x9E3779B97F4A7C15) & mask
+                z = ((state ^ (state >> 30)) * 0xBF58476D1CE4E5B9) & mask
+                z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
+                z ^= z >> 31
+                # randrange's limit is at least mask - i; compute it only
+                # for draws above that
+                if z <= mask - i or z <= mask - (mask + 1) % (i + 1):
+                    break
+            j = z % (i + 1)
             seq[i], seq[j] = seq[j], seq[i]
+        self.state = state
 
     def sample(self, seq, k: int) -> list:
         pool = list(seq)
@@ -201,10 +215,6 @@ def _chain_params(total_internal: int, budget_leaves: int) -> tuple[int, int, in
     return b, c, extra
 
 
-def _chain_feasible(num_leaves: int, m: int) -> bool:
-    return _chain_params(m, num_leaves) is not None
-
-
 def _root_leaf_feasible(num_leaves: int, m: int) -> bool:
     return _chain_params(m - 1, num_leaves - 1) is not None
 
@@ -311,6 +321,7 @@ def diameter_pair(num_leaves: int, m: int, mprime: int) -> tuple[Network, Networ
     internal node lies on a root-to-parent(forcing leaf) path, so the star
     is their only common contraction. At (4, 6, 6), where no weakly galled
     root-leaf form exists, a ladder pair (not weakly galled) is emitted.
+    Raises InvalidParameters wherever none of these constructions applies.
     """
     if num_leaves < 4 or m < 2 or mprime < 2:
         raise InvalidParameters("need num_leaves >= 4 and m, mprime >= 2")
@@ -337,18 +348,21 @@ def diameter_pair(num_leaves: int, m: int, mprime: int) -> tuple[Network, Networ
             else _root_leaf_cyc(labels, m, top=zfirst)
         )
         n2 = _path_chain(labels, mprime, deep=zfirst)
-    else:
-        if not (_chain_feasible(num_leaves, m) and _chain_feasible(num_leaves, mprime)):
-            raise InvalidParameters(f"no construction for ({num_leaves}, {m}, {mprime})")
-        # both sides lack a root-leaf chain: ladder pair (only (4, 6, 6))
+    elif (num_leaves, m, mprime) == (4, 6, 6):
+        # both sides lack a root-leaf chain: the ladder pair
         n1 = _ladder(labels, twin=(labels[2], labels[3]), at_root=(labels[0], labels[1]))
         n2 = _ladder(
             [labels[3], labels[1], labels[2], labels[0]],
             twin=(labels[0], labels[1]),
             at_root=(labels[3], labels[2]),
         )
-    assert n1.num_internal == m and n2.num_internal == mprime
-    assert n1.leaf_universe == n2.leaf_universe
+    else:
+        raise InvalidParameters(f"no construction for ({num_leaves}, {m}, {mprime})")
+    if (n1.num_internal, n2.num_internal) != (m, mprime) or n1.leaf_universe != n2.leaf_universe:
+        raise InvalidParameters(
+            f"construction for ({num_leaves}, {m}, {mprime}) built a pair with "
+            f"({n1.num_internal}, {n2.num_internal}) internal nodes or unequal leaf sets"
+        )
     return n1, n2
 
 
@@ -505,6 +519,8 @@ def five_leaves_target() -> Network:
 # ---------------------------------------------------------------------------
 # random weakly galled trees
 
+Edge = tuple[NodeId, NodeId]
+
 
 def _random_tree(rng: SplitMix64, labels: list[str]) -> _Builder:
     """Random rooted tree with out-degrees in [2, 4] (single-leaf case: a
@@ -538,41 +554,136 @@ def random_wgt(num_leaves: int, num_reticulations: int, seed: int) -> Network:
         raise InvalidParameters("need num_leaves >= 1, num_reticulations >= 0")
     rng = SplitMix64(seed)
     g = _random_tree(rng, [str(i + 1) for i in range(num_leaves)])
-    net, fresh = g.network(), g.next_id
-    for _ in range(num_reticulations):
-        net, fresh = _insert_reticulation(rng, net, fresh)
-    assert len(net.reticulations()) == num_reticulations
-    assert is_weakly_galled(net)
+    if not num_reticulations:
+        return g.network()
+    # All edges start unmarked (on no cycle): up[x] is x's parent along its
+    # unmarked in-edge, candidates the sorted unmarked edges.
+    up = {v: u for u, v in g.edges}
+    pred = {v: [u] for v, u in up.items()}
+    edges, candidates = set(g.edges), sorted(g.edges)
+    last = _insert_reticulation(rng, pred, up, candidates, g.next_id)
+    for _ in range(num_reticulations - 1):
+        edges.difference_update(last[:2])
+        edges.update(_join_edges(*last))
+        last = _insert_reticulation(rng, pred, up, candidates, last[3] + 1)
+    # Built from the same set operations as the whole-network test built its
+    # last candidate, so node and label orders match that network exactly.
+    edges = set(sorted(edges))
+    edges.difference_update(last[:2])
+    edges |= set(_join_edges(*last))
+    net = validate(edges, dict(g.labels))
+    if len(net.reticulations()) != num_reticulations or not is_weakly_galled(net):
+        raise SelfCheckFailed(
+            f"random_wgt({num_leaves}, {num_reticulations}, {seed}) built {net!r}, "
+            f"not a weakly galled tree with {num_reticulations} reticulations"
+        )
     return net
 
 
-def _insert_reticulation(rng: SplitMix64, net: Network, fresh: int) -> tuple[Network, int]:
-    """Subdivide two edges and join the subdividers, keeping the result a
-    weakly galled tree; rejection-sampled."""
-    marked: set[tuple[NodeId, NodeId]] = set()
-    for c in cycles(net):
-        marked |= c.edges()
-    candidates = [e for e in sorted(net.edges()) if e not in marked]
+def _join_edges(e1: Edge, e2: Edge, s1: NodeId, s2: NodeId) -> list[Edge]:
+    """The five edges that subdivide e1 by s1 and e2 by s2 and join s1 to s2."""
+    return [(e1[0], s1), (s1, e1[1]), (e2[0], s2), (s2, e2[1]), (s1, s2)]
+
+
+def _reaches(pred: dict[NodeId, list[NodeId]], u: NodeId, v: NodeId) -> bool:
+    """Is there a directed path (possibly empty) from u to v? Searched
+    upwards from v: ancestors are few in a random tree, descendants many."""
+    seen = {v}
+    stack = [v]
+    while stack:
+        x = stack.pop()
+        if x == u:
+            return True
+        for p in pred.get(x, ()):
+            if p not in seen:
+                seen.add(p)
+                stack.append(p)
+    return False
+
+
+def _bridge_chain(up: dict[NodeId, NodeId], x: NodeId) -> list[NodeId]:
+    """x, then its ancestors reached through unmarked in-edges, bottom-up."""
+    chain = [x]
+    while chain[-1] in up:
+        chain.append(up[chain[-1]])
+    return chain
+
+
+def _new_cycle(
+    up: dict[NodeId, NodeId], a: NodeId, b: NodeId, c: NodeId, s1: NodeId, s2: NodeId
+) -> list[Edge] | None:
+    """Edges of the cycle that subdividing (a, b) by s1 and (c, d) by s2 and
+    adding s1 -> s2 closes, or None if the result is not a weakly galled
+    tree. Both edges must be unmarked and d must not reach a.
+
+    The new cycle runs along the unique undirected s1-s2 path; the result
+    is weakly galled iff that path uses no marked edge and the cycle has a
+    single source. Leaving s1 through b and reaching s2 through c, that is
+    a directed bridge path b -> ... -> c: b lies on c's bridge chain. Through
+    a and c, it is two bridge paths down from one node r: the bridge chains
+    of a and c meet, first at r. Through d, the cycle would need a second
+    in-degree-2 node reached over bridges only, which a weakly galled tree
+    does not have.
+    """
+    up_c = _bridge_chain(up, c)
+    if b in up_c:
+        side = up_c[: up_c.index(b) + 1]
+        return [(s1, s2), (s1, b), *zip(side[1:], side), (c, s2)]
+    up_a = _bridge_chain(up, a)
+    on_a = {x: i for i, x in enumerate(up_a)}
+    for i, r in enumerate(up_c):
+        if r in on_a:
+            side_a, side_c = up_a[: on_a[r] + 1], up_c[: i + 1]
+            return [
+                *zip(side_a[1:], side_a),
+                (a, s1),
+                (s1, s2),
+                *zip(side_c[1:], side_c),
+                (c, s2),
+            ]
+    return None
+
+
+def _insert_reticulation(
+    rng: SplitMix64,
+    pred: dict[NodeId, list[NodeId]],
+    up: dict[NodeId, NodeId],
+    candidates: list[Edge],
+    fresh: int,
+) -> tuple[Edge, Edge, NodeId, NodeId]:
+    """Subdivide two unmarked edges and join the subdividers, keeping the
+    result a weakly galled tree; rejection-sampled. Updates `pred`, `up` and
+    `candidates` in place and returns (e1, e2, s1, s2): e1 = (a, b) is
+    subdivided by s1, e2 = (c, d) by s2, and s1 -> s2 is added.
+
+    A candidate pair is accepted iff b lies on c's bridge chain or the
+    bridge chains of a and c meet (see `_new_cycle`); a bridge chain is a
+    node plus its ancestors through unmarked in-edges, and the marked edges
+    are those of the existing cycles. This makes the same decision as
+    building the whole network and testing it with `is_weakly_galled`.
+    """
     for _ in range(200):
         if len(candidates) < 2:
             break
         e1, e2 = rng.sample(candidates, 2)
-        if net.reaches(e2[1], e1[0]) or e2[1] == e1[0]:
+        if _reaches(pred, e2[1], e1[0]):
             e1, e2 = e2, e1  # keep the joining edge forward
+        (a, b), (c, d) = e1, e2
         s1, s2 = fresh, fresh + 1
-        edges = set(net.edges())
-        edges.discard(e1)
-        edges.discard(e2)
-        edges |= {(e1[0], s1), (s1, e1[1]), (e2[0], s2), (s2, e2[1]), (s1, s2)}
-        try:
-            cand = validate(edges, dict(net.leaf_label))
-        except PhyloError:
+        cycle = _new_cycle(up, a, b, c, s1, s2)
+        if cycle is None:
             continue
-        if (
-            len(cand.reticulations()) == len(net.reticulations()) + 1
-            and is_weakly_galled(cand)
-        ):
-            return cand, fresh + 2
+        pred[s1], pred[s2], pred[b], pred[d] = [a], [c, s1], [s1], [s2]
+        new = _join_edges(e1, e2, s1, s2)
+        for p, x in (e1, e2, *(e for e in cycle if e not in new)):
+            del up[x]
+            del candidates[bisect.bisect_left(candidates, (p, x))]
+        on_cycle = set(cycle)
+        for p, x in new:
+            if (p, x) not in on_cycle:
+                up[x] = p
+                bisect.insort(candidates, (p, x))
+        return e1, e2, s1, s2
     raise GenerationFailed(
         f"could not place a reticulation after 200 attempts "
         f"({len(candidates)} free edges)"

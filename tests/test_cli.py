@@ -284,6 +284,17 @@ def test_gen_diameter_writes_pair(files, capsys, tmp_path):
     assert mcc_out.startswith("delta=4 ")
 
 
+def test_gen_diameter_without_construction_exits_two(capsys, tmp_path):
+    prefix = str(tmp_path / "dp")
+    code, out, err = run(
+        capsys,
+        ["gen", "diameter", "--leaves", "4", "--m", "6", "--mprime", "9", "--out-prefix", prefix],
+    )
+    assert code == 2 and out == ""
+    assert err.startswith("error: InvalidParameters: ")
+    assert not list(tmp_path.iterdir())
+
+
 def test_gen_reduction_prints_k_then_pair(files, capsys):
     inst = files("inst.txt", "1 2\n1 2\n")
     code, out, _ = run(capsys, ["gen", "reduction1", "--instance", inst])

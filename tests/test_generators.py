@@ -2,13 +2,16 @@
 
 import hashlib
 import itertools
+import time
 
 import pytest
 
-from phylocontract.errors import GenerationFailed, InvalidParameters
+from phylocontract.errors import GenerationFailed, InvalidParameters, PhyloError
 from phylocontract.errors import SyntaxError as ParseError
-from phylocontract.galled import has_degree2_node, is_weakly_galled
+from phylocontract.galled import cycles, has_degree2_node, is_weakly_galled
 from phylocontract.generators import (
+    _new_cycle,
+    _reaches,
     SetSplittingInstance,
     SplitMix64,
     deg_bounded_target,
@@ -24,6 +27,7 @@ from phylocontract.generators import (
 from phylocontract.io_enewick import write_enewick
 from phylocontract.mcc_dp import solve
 from phylocontract.mcc_oracle import is_contraction
+from phylocontract.network_core import validate
 
 
 # -- SplitMix64 -------------------------------------------------------------
@@ -61,6 +65,54 @@ def test_splitmix64_randrange_bounds():
     rng = SplitMix64(7)
     vals = [rng.randrange(5) for _ in range(200)]
     assert set(vals) == {0, 1, 2, 3, 4}
+
+
+def test_splitmix64_shuffle_and_sample_frozen():
+    h = hashlib.sha256()
+    for seed in (0, 1, 2024, (1 << 64) - 1):
+        rng = SplitMix64(seed)
+        xs = list(range(10_000))
+        rng.shuffle(xs)
+        h.update(repr((xs, rng.sample(range(10_000), 2), rng.sample(xs, 10_000), rng.state)).encode())
+    assert h.hexdigest() == "1403e75f6976ccec4950007d9b5732905a25c5f1bca584ac7033395a07220381"
+
+
+_MASK64 = (1 << 64) - 1
+
+
+def _unxorshift(y: int, s: int) -> int:
+    x = y
+    for _ in range(64 // s + 1):
+        x = y ^ (x >> s)
+    return x
+
+
+def _seed_whose_next64_is(out: int) -> int:
+    """Invert the splitmix64 output mix, then step back one increment."""
+    z = _unxorshift(out, 31)
+    z = z * pow(0x94D049BB133111EB, -1, 1 << 64) & _MASK64
+    z = _unxorshift(z, 27)
+    z = z * pow(0xBF58476D1CE4E5B9, -1, 1 << 64) & _MASK64
+    z = _unxorshift(z, 30)
+    return (z - 0x9E3779B97F4A7C15) & _MASK64
+
+
+@pytest.mark.parametrize("n,first", [(10, _MASK64), (10, _MASK64 - 5), (7, 123), (1000, _MASK64 - 3)])
+def test_splitmix64_shuffle_matches_randrange_reference(n, first):
+    # The seed fixes the shuffle's first draw. Within 2**64 % n of the top,
+    # it is above randrange(n)'s limit and drawn again; 123 is not.
+    seed = _seed_whose_next64_is(first)
+    assert SplitMix64(seed).next64() == first
+    draws = n - 1 + (first > _MASK64 - (1 << 64) % n)
+    ref, rng = SplitMix64(seed), SplitMix64(seed)
+    want = list(range(n))
+    for i in range(n - 1, 0, -1):
+        j = ref.randrange(i + 1)
+        want[i], want[j] = want[j], want[i]
+    got = list(range(n))
+    rng.shuffle(got)
+    assert got == want and rng.state == ref.state
+    assert rng.state == (seed + draws * 0x9E3779B97F4A7C15) & _MASK64
 
 
 # -- Set Splitting instances ------------------------------------------------
@@ -155,6 +207,23 @@ def test_diameter_pair_sizes_are_exact(l, m, mp):
 def test_diameter_pair_delta_examples(l, m, mp, want):
     n1, n2 = diameter_pair(l, m, mp)
     assert solve(n1, n2)[0] == want == m + mp - 2
+
+
+def test_diameter_pair_sweep_is_exact_or_invalid():
+    # Every call returns exactly (m, m') internal nodes or raises
+    # InvalidParameters: no AssertionError, no validate error from inside.
+    built = 0
+    for l in range(4, 13):
+        for m in range(2, 3 * l + 1):
+            for mp in range(2, 3 * l + 1):
+                try:
+                    n1, n2 = diameter_pair(l, m, mp)
+                except InvalidParameters:
+                    continue
+                assert (n1.num_internal, n2.num_internal) == (m, mp), (l, m, mp)
+                assert n1.leaf_universe == n2.leaf_universe
+                built += 1
+    assert built == 3754
 
 
 def test_diameter_pair_466_is_the_ladder_exception():
@@ -269,6 +338,88 @@ def test_random_wgt_reports_infeasible_parameters():
 def test_random_wgt_distinct_seeds_vary():
     texts = {write_enewick(random_wgt(6, 1, s)) for s in range(25)}
     assert len(texts) > 5
+
+
+def _whole_network_test(net, e1, e2, fresh):
+    """Reference for random_wgt's local acceptance test: orient the pair,
+    build the whole network with the new cycle, validate it and test it
+    whole. Returns the oriented pair and the new network, or None if
+    rejected."""
+    if net.reaches(e2[1], e1[0]) or e2[1] == e1[0]:
+        e1, e2 = e2, e1
+    s1, s2 = fresh, fresh + 1
+    edges = set(net.edges())
+    edges.discard(e1)
+    edges.discard(e2)
+    edges |= {(e1[0], s1), (s1, e1[1]), (e2[0], s2), (s2, e2[1]), (s1, s2)}
+    try:
+        cand = validate(edges, dict(net.leaf_label))
+    except PhyloError:
+        return e1, e2, None
+    if len(cand.reticulations()) == len(net.reticulations()) + 1 and is_weakly_galled(cand):
+        return e1, e2, cand
+    return e1, e2, None
+
+
+def test_local_acceptance_matches_whole_network_test():
+    nets = []
+    for leaves in range(3, 12):
+        for retics in range(4):
+            try:
+                nets.append(random_wgt(leaves, retics, 0))
+            except GenerationFailed:
+                pass
+    assert len(nets) >= 30
+    decided = {True: 0, False: 0}
+    for net in nets:
+        marked = set().union(*(c.edges() for c in cycles(net)))
+        candidates = [e for e in sorted(net.edges()) if e not in marked]
+        up = {v: u for u, v in candidates}
+        pred = {v: list(ps) for v, ps in net.pred.items()}
+        s1 = max(net.succ) + 1
+        s2 = s1 + 1
+        for x, y in itertools.permutations(candidates, 2):
+            e1, e2, cand = _whole_network_test(net, x, y, s1)
+            assert _reaches(pred, y[1], x[0]) == (e1 != x)
+            cycle = _new_cycle(up, *e1, e2[0], s1, s2)
+            assert (cycle is not None) == (cand is not None), (net.edges(), e1, e2)
+            decided[cand is not None] += 1
+            if cand is not None:
+                want = next(c for c in cycles(cand) if c.reticulation == s2).edges()
+                assert sorted(cycle) == sorted(want)
+    assert min(decided.values()) > 1000, decided
+
+
+def _insertion_ordered(n) -> str:
+    return repr((list(n.succ.items()), list(n.pred.items()), list(n.leaf_label.items()), n.root))
+
+
+def test_random_wgt_grid_frozen():
+    # Insertion-ordered adjacency and labels, and every failure message, over
+    # 1920 seeded calls; recorded before the local acceptance test existed.
+    h = hashlib.sha256()
+    for leaves in range(1, 81):
+        for retics in range(8):
+            for seed in (0, 1, 2):
+                try:
+                    n = random_wgt(leaves, retics, seed)
+                except GenerationFailed as exc:
+                    h.update(f"{leaves} {retics} {seed}: {exc}\n".encode())
+                    continue
+                h.update(_insertion_ordered(n).encode())
+    assert h.hexdigest() == "93fcb13bd522452938e1180ac7025a4469491335aa2e525e51b64a622898cafb"
+
+
+def test_random_wgt_scale():
+    # 3640 nodes, 20 reticulations, under a wall-time ceiling; same network
+    # as the whole-network acceptance test produced.
+    start = time.perf_counter()
+    n = random_wgt(2200, 20, 0)
+    elapsed = time.perf_counter() - start
+    assert len(n.succ) == 3640
+    digest = hashlib.sha256(_insertion_ordered(n).encode()).hexdigest()
+    assert digest == "2d8ce25ef56bfa3d7a73e73071f7c99f648ce9a11591440b5595123042e9844f"
+    assert elapsed < 10.0, elapsed
 
 
 # -- frozen node ids ----------------------------------------------------------

@@ -309,20 +309,56 @@ for f in (solve, exact_mcc, tree_mcc):
 """
 
 
-def test_witness_self_checks_survive_python_O():
-    # python -O drops asserts; the checks that end solve, exact_mcc and
-    # tree_mcc must still catch a witness that fails validation.
+def _run_optimized(script: str) -> list[str]:
+    """Run `script` under python -O and return its stdout lines."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
-        [sys.executable, "-O", "-c", SELF_CHECK_SCRIPT],
+        [sys.executable, "-O", "-c", script],
         env={**os.environ, "PYTHONPATH": path},
         capture_output=True,
         text=True,
         timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines() == [
+    return proc.stdout.splitlines()
+
+
+def test_witness_self_checks_survive_python_O():
+    # python -O drops asserts; the checks that end solve, exact_mcc and
+    # tree_mcc must still catch a witness that fails validation.
+    assert _run_optimized(SELF_CHECK_SCRIPT) == [
         "optimize=1",
         *(f"{name} witness check failed: planted" for name in ("solve", "exact_mcc", "tree_mcc")),
+    ]
+
+
+RANDOM_WGT_CHECK_SCRIPT = """
+import sys
+import phylocontract.generators as generators
+from phylocontract.errors import SelfCheckFailed
+
+print(f"optimize={sys.flags.optimize}")
+local = generators._new_cycle
+# accept every candidate pair: a rejected one gets a made-up cycle of new edges
+generators._new_cycle = lambda up, a, b, c, s1, s2: (
+    local(up, a, b, c, s1, s2) or [(a, s1), (s1, s2), (c, s2)]
+)
+for leaves, retics, seed in ((12, 4, 0), (40, 6, 1)):
+    try:
+        net = generators.random_wgt(leaves, retics, seed)
+    except SelfCheckFailed as exc:
+        print(type(exc).__name__, str(exc).split(" built ")[0])
+    else:
+        print("returned", net)
+"""
+
+
+def test_random_wgt_self_checks_survive_python_O():
+    # With the local acceptance test, the closing checks of random_wgt are
+    # the only whole-network guard; they must not be asserts.
+    assert _run_optimized(RANDOM_WGT_CHECK_SCRIPT) == [
+        "optimize=1",
+        "SelfCheckFailed random_wgt(12, 4, 0)",
+        "SelfCheckFailed random_wgt(40, 6, 1)",
     ]
