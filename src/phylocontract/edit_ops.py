@@ -22,6 +22,7 @@ from .errors import (
     InadmissibleContraction,
     InadmissibleExpansion,
     InadmissibleStep,
+    InvalidParameters,
     InvalidWitness,
     KeyMismatch,
     LeafSetMismatch,
@@ -70,12 +71,14 @@ def contract(n: Network, c: Contraction) -> Network:
     """Raw contraction per the definition; the result may be invalid.
 
     No admissibility is enforced: the output can contain a directed cycle or
-    lose a leaf. Use contract_admissible for the checked operation.
+    lose a leaf. Use contract_admissible for the checked operation. Raises
+    NotAnEdge for a non-edge and InvalidParameters when w is not fresh.
     """
     u, v, w = c.u, c.v, c.w
     if not n.has_edge(u, v):
         raise NotAnEdge(f"({u},{v}) is not an edge")
-    assert w not in n.succ, "merge node must be fresh"
+    if w in n.succ:
+        raise InvalidParameters(f"merge node {w} must be fresh")
     new_in = set(n.pred[u]) | (set(n.pred[v]) - {u})
     new_out = (set(n.succ[u]) - {v}) | set(n.succ[v])
     succ: dict[NodeId, set[NodeId]] = {}
@@ -413,14 +416,16 @@ def quotient(n: Network, parts: Sequence[Iterable[NodeId]]) -> tuple[Network, di
     """Collapse each part of a partition of I(n) to a single fresh node.
 
     Returns the quotient network and the map part-member → quotient node.
-    Raises validation errors when the quotient is not a valid network
-    (e.g. the partition induces a directed cycle).
+    Raises InvalidParameters when the parts do not cover exactly I(n), and
+    validation errors when the quotient is not a valid network (e.g. the
+    partition induces a directed cycle).
     """
     part_of: dict[NodeId, NodeId] = {}
     for i, members in enumerate(parts):
         for x in members:
             part_of[x] = i
-    assert set(part_of) == set(n.internal_nodes()), "parts must cover internals"
+    if set(part_of) != set(n.internal_nodes()):
+        raise InvalidParameters("parts must cover exactly the internal nodes")
     next_id = len(parts)
     leaf_map: dict[NodeId, NodeId] = {}
     leaf_labels: dict[NodeId, str] = {}

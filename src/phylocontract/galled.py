@@ -2,9 +2,17 @@
 
 A reticulation cycle is a pair of directed paths r→…→t meeting only at r
 (the cycle root) and t (the reticulation). A network is a weakly galled tree
-when no two such cycles share an edge; equivalently its underlying undirected
-graph is a cactus and each nontrivial block carries exactly one source and
-one sink under the edge orientation.
+when no two such cycles share an edge.
+
+One walk both recognises these networks and lists their cycles. Every
+in-degree must be at most 2. For each reticulation t, the walk climbs t's two
+parent chains in lockstep through in-degree-1 nodes; the first node both
+chains reach is the cycle root. The network is rejected when the chains never
+meet or two of the cycles found share an edge. This is exact. With in-degrees
+at most 2, a rooted DAG has cycle rank |E| - |V| + 1 = R, its number of
+reticulations, so R edge-disjoint cycles span its whole cycle space and every
+undirected cycle is one of them. Conversely, every side node of a cycle in a
+weakly galled tree has in-degree 1, so the chains climb its sides to its root.
 
 Clades: D(u) is the set of leaf labels reachable from u. D(u) is a 1-clade
 when u is not strictly inside a cycle side; D(u) ∪ D(v) is a 2-clade when
@@ -16,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .errors import LeafSetMismatch, NotWeaklyGalled
-from .network_core import Network, NodeId, is_acyclic
+from .network_core import Network, NodeId, _label_indices
 
 __all__ = [
     "ReticulationCycle",
@@ -53,6 +61,16 @@ class ReticulationCycle:
         out |= set(zip(pb, pb[1:]))
         return out
 
+    def pairs(self) -> list[tuple[NodeId, NodeId]]:
+        """The pairs (x, y) whose clade union is a 2-clade: x on side a or
+        the reticulation, y on side b or the reticulation, not both it."""
+        t = self.reticulation
+        return [
+            *((x, y) for x in self.side_a for y in self.side_b),
+            *((x, t) for x in self.side_a),
+            *((t, y) for y in self.side_b),
+        ]
+
 
 @dataclass
 class CladeIndex:
@@ -62,7 +80,7 @@ class CladeIndex:
     two_clades: dict[int, tuple[tuple[NodeId, NodeId], ...]] = field(default_factory=dict)
 
     def labels(self, bits: int) -> tuple[str, ...]:
-        return tuple(lab for i, lab in enumerate(self.universe) if bits >> i & 1)
+        return tuple(self.universe[i] for i in _label_indices(bits))
 
 
 def has_degree2_node(n: Network) -> bool:
@@ -71,86 +89,52 @@ def has_degree2_node(n: Network) -> bool:
     )
 
 
-def _biconnected_components(n: Network) -> list[list[tuple[NodeId, NodeId]]]:
-    """Edge sets of the biconnected components of the underlying graph.
+def _climb(pred: dict[NodeId, tuple[NodeId, ...]], t: NodeId):
+    """(root, chain, chain): the first node both parent chains of t reach,
+    climbing in lockstep through in-degree-1 nodes, and each chain below it,
+    bottom-up; None when both chains stop without meeting. A chain also stops
+    at a node it has visited, so raw cyclic graphs from `contract` terminate."""
+    chains = ([pred[t][0]], [pred[t][1]])
+    seen = (set(chains[0]), set(chains[1]))
+    grew = True
+    while grew:
+        grew = False
+        for i in (0, 1):
+            ps = pred[chains[i][-1]]
+            if len(ps) != 1 or ps[0] in seen[i]:
+                continue
+            if ps[0] in seen[1 - i]:
+                other = chains[1 - i]
+                return ps[0], chains[i], other[: other.index(ps[0])]
+            chains[i].append(ps[0])
+            seen[i].add(ps[0])
+            grew = True
+    return None
 
-    Iterative lowpoint algorithm; undirected edges are recorded in their
-    directed orientation (u,v) ∈ E(n).
-    """
-    adj: dict[NodeId, list[tuple[NodeId, NodeId, NodeId]]] = {u: [] for u in n.succ}
-    for u, v in n.edges():
-        adj[u].append((v, u, v))
-        adj[v].append((u, u, v))
 
-    disc: dict[NodeId, int] = {}
-    low: dict[NodeId, int] = {}
-    comps: list[list[tuple[NodeId, NodeId]]] = []
-    edge_stack: list[tuple[NodeId, NodeId]] = []
-    counter = 0
-
-    for start in n.nodes():
-        if start in disc:
-            continue
-        # stack entries: (node, parent_edge, iterator index)
-        disc[start] = low[start] = counter
-        counter += 1
-        stack: list[list] = [[start, None, 0]]
-        while stack:
-            frame = stack[-1]
-            u, parent_edge, idx = frame
-            if idx < len(adj[u]):
-                frame[2] += 1
-                other, eu, ev = adj[u][idx]
-                edge = (eu, ev)
-                if edge == parent_edge:
-                    continue
-                if other not in disc:
-                    disc[other] = low[other] = counter
-                    counter += 1
-                    edge_stack.append(edge)
-                    stack.append([other, edge, 0])
-                elif disc[other] < disc[u]:
-                    edge_stack.append(edge)
-                    low[u] = min(low[u], disc[other])
-            else:
-                stack.pop()
-                if stack:
-                    p = stack[-1][0]
-                    low[p] = min(low[p], low[u])
-                    if low[u] >= disc[p]:
-                        comp = []
-                        while edge_stack:
-                            e = edge_stack.pop()
-                            comp.append(e)
-                            if e == parent_edge:
-                                break
-                        comps.append(comp)
-    return comps
+def _cycle_walk(n: Network) -> list[tuple[NodeId, NodeId, tuple, tuple]] | None:
+    """(root, reticulation, side, side) per reticulation, sides top-down and
+    not yet oriented, or None when n is not a weakly galled tree."""
+    if any(len(ps) > 2 for ps in n.pred.values()):
+        return None
+    on_side: set[NodeId] = set()
+    found = []
+    for t in n.reticulations():
+        climbed = _climb(n.pred, t)
+        if climbed is None:
+            return None
+        root, *sides = climbed
+        for x in (*sides[0], *sides[1]):
+            if x in on_side:
+                return None  # the in-edge of x lies on two cycles
+            on_side.add(x)
+        found.append((root, t, *(tuple(reversed(side)) for side in sides)))
+    return found
 
 
 def is_weakly_galled(n: Network) -> bool:
-    """No two reticulation cycles share an edge.
-
-    Checked structurally: in-degrees at most 2, every nontrivial biconnected
-    block of the underlying graph is a single cycle, and within each block the
-    orientation has exactly one source (the cycle root) and one in-degree-2
-    node (its reticulation).
-    """
-    if any(len(n.pred[u]) > 2 for u in n.succ):
-        return False
-    for comp in _biconnected_components(n):
-        if len(comp) <= 1:
-            continue
-        comp_nodes = {x for e in comp for x in e}
-        if len(comp) != len(comp_nodes):
-            return False  # not a simple cycle
-        indeg: dict[NodeId, int] = {x: 0 for x in comp_nodes}
-        for _, v in comp:
-            indeg[v] += 1
-        counts = sorted(indeg.values())
-        if counts != [0] + [1] * (len(comp_nodes) - 2) + [2]:
-            return False
-    return True
+    """No two reticulation cycles share an edge."""
+    return _cycle_walk(n) is not None
 
 
 def cycles(n: Network) -> list[ReticulationCycle]:
@@ -160,31 +144,16 @@ def cycles(n: Network) -> list[ReticulationCycle]:
     smaller clade (as a label tuple; NodeId tiebreak; an empty side first)
     becomes side_a. Cycles are listed by reticulation NodeId.
     """
-    if not is_weakly_galled(n):
+    found = _cycle_walk(n)
+    if found is None:
         raise NotWeaklyGalled(repr(n))
     d = n.clades()
-    universe = n.leaf_universe
 
     def side_key(side: tuple[NodeId, ...]) -> tuple:
-        if not side:
-            return ((), -1)
-        bits = d[side[0]]
-        labels = tuple(lab for i, lab in enumerate(universe) if bits >> i & 1)
-        return (labels, side[0])
+        return (_label_indices(d[side[0]]), side[0]) if side else ((), -1)
 
     out = []
-    for t in n.reticulations():
-        p1, p2 = n.pred[t]
-        chains = []
-        for p in (p1, p2):
-            chain = [p]
-            while len(n.pred[chain[-1]]) == 1:
-                chain.append(n.pred[chain[-1]][0])
-            chains.append(chain)
-        members = set(chains[1])
-        root = next(x for x in chains[0] if x in members)
-        side1 = tuple(reversed(chains[0][: chains[0].index(root)]))
-        side2 = tuple(reversed(chains[1][: chains[1].index(root)]))
+    for root, t, side1, side2 in found:
         a, b = sorted((side1, side2), key=side_key)
         out.append(ReticulationCycle(root=root, reticulation=t, side_a=a, side_b=b))
     return out
@@ -211,9 +180,7 @@ def build_clade_index(n: Network) -> CladeIndex:
 
     twos: dict[int, list[tuple[NodeId, NodeId]]] = {}
     for c in cyc:
-        pairs = [(x, y) for x in c.side_a for y in c.side_b]
-        pairs += [(x, c.reticulation) for x in c.side_a + c.side_b]
-        for x, y in pairs:
+        for x, y in c.pairs():
             twos.setdefault(d[x] | d[y], []).append(tuple(sorted((x, y))))
     idx.two_clades = {bits: tuple(sorted(set(ps))) for bits, ps in twos.items()}
 

@@ -25,7 +25,7 @@ from .errors import (
     UnknownNode,
     UnresolvedHybridTag,
 )
-from .network_core import Network, NodeId, validate
+from .network_core import Network, NodeId, _label_indices, validate
 
 __all__ = ["parse_enewick", "write_enewick", "parse_edgelist", "write_edgelist"]
 
@@ -227,43 +227,29 @@ def write_enewick(n: Network) -> str:
     visit carrying the children.
     """
     d = n.clades()
-
-    def clade_key(u: NodeId):
-        # leaf_universe is sorted, so label indices order like the labels
-        bits = d[u]
-        idx = []
-        while bits:
-            low = bits & -bits
-            idx.append(low.bit_length() - 1)
-            bits ^= low
-        return (tuple(idx), u)
-
     tags: dict[NodeId, int] = {}
     out: list[str] = []
-
-    def emit(u: NodeId):
-        if u in n.leaf_label:
+    stack: list[NodeId | str] = [n.root]  # nodes to emit and text to copy
+    while stack:
+        u = stack.pop()
+        if isinstance(u, str):
+            out.append(u)
+        elif u in n.leaf_label:
             out.append(_quote(n.leaf_label[u]))
-            return
-        if len(n.pred[u]) >= 2:
-            if u in tags:
-                out.append(f"#H{tags[u]}")
-                return
-            tags[u] = len(tags) + 1
-            _emit_children(u)
+        elif u in tags:
             out.append(f"#H{tags[u]}")
-            return
-        _emit_children(u)
-
-    def _emit_children(u: NodeId):
-        out.append("(")
-        for i, c in enumerate(sorted(n.succ[u], key=clade_key)):
-            if i:
-                out.append(",")
-            emit(c)
-        out.append(")")
-
-    emit(n.root)
+        else:
+            close = ")"
+            if len(n.pred[u]) >= 2:
+                tags[u] = len(tags) + 1
+                close = f")#H{tags[u]}"
+            stack.append(close)
+            children = sorted(n.succ[u], key=lambda c: (_label_indices(d[c]), c))
+            for i, c in enumerate(reversed(children)):
+                if i:
+                    stack.append(",")
+                stack.append(c)
+            out.append("(")
     out.append(";")
     return "".join(out)
 

@@ -131,14 +131,10 @@ class _NetData:
             self.pref_idx.append(prefidx)
 
             pairs: dict[int, tuple[NodeId, NodeId]] = {}
-            t = c.reticulation
-            for x in (*c.side_a, t):
-                for y in (*c.side_b, t):
-                    if x == t and y == t:
-                        continue
-                    bits = self.d[x] | self.d[y]
-                    assert bits not in pairs, "two-clade values must be unique"
-                    pairs[bits] = (x, y)
+            for x, y in c.pairs():
+                bits = self.d[x] | self.d[y]
+                assert bits not in pairs, "two-clade values must be unique"
+                pairs[bits] = (x, y)
             self.pair_of.append(pairs)
 
         # Witness index: one_wit maps a clade value to the mask of the nodes

@@ -248,6 +248,17 @@ def is_acyclic(n: Network) -> bool:
     return count == len(n.succ)
 
 
+def _label_indices(bits: int) -> tuple[int, ...]:
+    """Indices of a clade value's set bits, ascending. leaf_universe is
+    sorted, so these tuples order clades like their sorted label tuples."""
+    idx = []
+    while bits:
+        low = bits & -bits
+        idx.append(low.bit_length() - 1)
+        bits ^= low
+    return tuple(idx)
+
+
 def topological_order(n: Network) -> list[NodeId]:
     """Deterministic topological order (smallest available NodeId first)."""
     remaining = {u: len(n.pred[u]) for u in n.succ}
@@ -311,9 +322,10 @@ def is_isomorphic(n1: Network, n2: Network, return_mapping: bool = False):
         if len(us) != len(sig2[s]):
             return fail
 
-    # Assign rare signatures first to cut branching.
+    # Assign rare signatures first to cut branching. Depth-first search with
+    # an explicit cursor per level: tried[i] is the next candidate for order[i].
     order = sorted(of1, key=lambda u: (len(sig1[of1[u]]), u))
-    used: set[NodeId] = set()
+    used_inv: dict[NodeId, NodeId] = {}
 
     def compatible(u: NodeId, v: NodeId) -> bool:
         for l1 in n1.succ[u]:
@@ -336,29 +348,26 @@ def is_isomorphic(n1: Network, n2: Network, return_mapping: bool = False):
                     return False
         return True
 
-    used_inv: dict[NodeId, NodeId] = {}
-
-    def assign(i: int) -> bool:
-        if i == len(order):
-            return True
+    tried = [0] * len(order)
+    i = 0
+    while i < len(order):
         u = order[i]
-        for v in sig2[of1[u]]:
-            if v in used:
-                continue
-            if compatible(u, v):
-                phi[u] = v
-                used.add(v)
-                used_inv[v] = u
-                if assign(i + 1):
-                    return True
-                del phi[u]
-                used.remove(v)
-                del used_inv[v]
-        return False
-
-    ok = assign(0)
-    if not ok:
-        return fail
+        if u in phi:  # back from a failed deeper level: undo this choice
+            del used_inv[phi.pop(u)]
+        vs = sig2[of1[u]]
+        k = tried[i]
+        while k < len(vs) and (vs[k] in used_inv or not compatible(u, vs[k])):
+            k += 1
+        if k == len(vs):
+            if i == 0:
+                return fail
+            tried[i] = 0
+            i -= 1
+            continue
+        tried[i] = k + 1
+        phi[u] = vs[k]
+        used_inv[vs[k]] = u
+        i += 1
     # Full edge check (the incremental checks already imply it, kept cheap).
     assert all(phi[v] in n2.succ[phi[u]] for u, v in n1.edges())
     return (True, dict(phi)) if return_mapping else True

@@ -7,7 +7,8 @@ import pytest
 
 from conftest import G1_TEXT, STAR3_TEXT, T3A_TEXT, T3B_TEXT
 from phylocontract.cli import main
-from phylocontract.io_enewick import parse_enewick
+from phylocontract.generators import random_wgt
+from phylocontract.io_enewick import parse_enewick, write_enewick
 from phylocontract.network_core import is_isomorphic
 
 G1_EDGES = "1 0\n3 1\n3 2\n5 1\n5 4\n6 3\n6 5\n#leaves\n0 1\n2 2\n4 3\n"
@@ -92,6 +93,16 @@ def test_iso_yes(files, capsys):
 def test_iso_no_exits_one(files, capsys):
     code, out, _ = run(capsys, ["iso", files("a.nwk", T3A_TEXT), files("b.nwk", T3B_TEXT)])
     assert code == 1 and out == "not isomorphic\n"
+
+
+def test_iso_on_many_internal_nodes(files, capsys):
+    # 3640 nodes, 1440 of them internal, but only 16 levels deep: the
+    # backtracking search must not be bounded by the recursion limit.
+    n = random_wgt(2200, 20, 0)
+    assert is_isomorphic(n, n)
+    f = files("big.nwk", write_enewick(n))
+    code, out, err = run(capsys, ["iso", f, f])
+    assert (code, out, err) == (0, "isomorphic\n", "")
 
 
 # -- contract ----------------------------------------------------------------------

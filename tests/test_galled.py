@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -17,8 +19,23 @@ from phylocontract import (
     parse_enewick,
     two_clades,
 )
-from phylocontract.errors import LeafSetMismatch, NotWeaklyGalled
+from phylocontract.edit_ops import Contraction, contract
+from phylocontract.errors import (
+    GenerationFailed,
+    InvalidParameters,
+    LeafSetMismatch,
+    NotWeaklyGalled,
+)
+from phylocontract.generators import (
+    SplitMix64,
+    diameter_pair,
+    random_wgt,
+    reduction_deg_bounded,
+    reduction_five_leaves,
+)
+from phylocontract.network_core import is_acyclic, validate
 from tests.conftest import gen_wgt
+from tests.test_acceptance import _all_small_instances
 
 
 def bits_of(n, labels):
@@ -179,3 +196,167 @@ def test_rules_never_increase_delta(t3a, t3b, g1, star3):
         r1, r2, count = apply_rules(n1, n2)
         after = exact_mcc(r1, r2)[0]
         assert before == count + after
+
+
+# -- the cycle walk against the lowpoint reference ---------------------------
+
+
+def _lowpoint_is_weakly_galled(n) -> bool:
+    """Reference: in-degrees at most 2, and every nontrivial biconnected block
+    of the underlying graph is a simple cycle whose orientation has one
+    source and one in-degree-2 node (iterative lowpoint algorithm)."""
+    if any(len(n.pred[u]) > 2 for u in n.succ):
+        return False
+    adj = {u: [] for u in n.succ}
+    for u, v in n.edges():
+        adj[u].append((v, u, v))
+        adj[v].append((u, u, v))
+    disc, low, comps, edge_stack, counter = {}, {}, [], [], 0
+    for start in n.nodes():
+        if start in disc:
+            continue
+        disc[start] = low[start] = counter
+        counter += 1
+        stack = [[start, None, 0]]
+        while stack:
+            frame = stack[-1]
+            u, parent_edge, idx = frame
+            if idx < len(adj[u]):
+                frame[2] += 1
+                other, eu, ev = adj[u][idx]
+                edge = (eu, ev)
+                if edge == parent_edge:
+                    continue
+                if other not in disc:
+                    disc[other] = low[other] = counter
+                    counter += 1
+                    edge_stack.append(edge)
+                    stack.append([other, edge, 0])
+                elif disc[other] < disc[u]:
+                    edge_stack.append(edge)
+                    low[u] = min(low[u], disc[other])
+            else:
+                stack.pop()
+                if stack:
+                    p = stack[-1][0]
+                    low[p] = min(low[p], low[u])
+                    if low[u] >= disc[p]:
+                        comp = []
+                        while edge_stack:
+                            e = edge_stack.pop()
+                            comp.append(e)
+                            if e == parent_edge:
+                                break
+                        comps.append(comp)
+    for comp in comps:
+        if len(comp) <= 1:
+            continue
+        comp_nodes = {x for e in comp for x in e}
+        if len(comp) != len(comp_nodes):
+            return False
+        indeg = dict.fromkeys(comp_nodes, 0)
+        for _, v in comp:
+            indeg[v] += 1
+        if sorted(indeg.values()) != [0] + [1] * (len(comp_nodes) - 2) + [2]:
+            return False
+    return True
+
+
+def _with_internal_edges(n, count: int, seed: int):
+    """n plus up to `count` random edges between internal nodes that keep it
+    a valid network, or None when no such edge was drawn."""
+    rng = SplitMix64(seed)
+    edges = set(n.edges())
+    internal = n.internal_nodes()
+    added = 0
+    for _ in range(8 * count):
+        if added == count:
+            break
+        u, v = rng.choice(internal), rng.choice(internal)
+        if v == n.root or (u, v) in edges or u == v:
+            continue
+        succ = {x: [] for x in n.succ}
+        for a, b in edges:
+            succ[a].append(b)
+        seen, stack = {v}, [v]
+        while stack:
+            for y in succ[stack.pop()]:
+                if y not in seen:
+                    seen.add(y)
+                    stack.append(y)
+        if u in seen:
+            continue
+        edges.add((u, v))
+        added += 1
+    return validate(edges, n.leaf_label) if added else None
+
+
+def _raw_contractions(n):
+    for u, v in n.edges():
+        yield contract(n, Contraction(u, v, n.fresh_id()))
+
+
+def test_walk_matches_lowpoint_reference():
+    # The cycle walk and the biconnected-components test decide the same
+    # networks: random weakly galled trees, the same trees with extra
+    # internal edges, every acyclic raw contraction of both, both hardness
+    # reductions over all small Set Splitting instances, and diameter pairs
+    # with the (4, 6, 6) ladders. Cyclic raw contractions must terminate.
+    nets = []
+    for leaves in range(3, 26, 2):
+        for retics in range(0, 5):
+            for seed in (0, 1):
+                try:
+                    n = random_wgt(leaves, retics, seed)
+                except GenerationFailed:
+                    continue
+                nets.append(n)
+                extra = _with_internal_edges(n, 1 + seed + retics % 2, 7 * leaves + retics)
+                if extra is not None:
+                    nets.append(extra)
+    raw = [m for n in nets for m in _raw_contractions(n)]
+    nets += [m for m in raw if is_acyclic(m)]
+    for inst in _all_small_instances():
+        nets += reduction_five_leaves(inst)[:2]
+        nets += reduction_deg_bounded(inst)[:2]
+    for l in (4, 5, 6):
+        for m in range(2, 8):
+            for mp in range(2, 8):
+                nets += diameter_pair(l, m, mp)
+    verdicts = [is_weakly_galled(n) for n in nets]
+    assert verdicts == [_lowpoint_is_weakly_galled(n) for n in nets]
+    assert verdicts.count(True) > 1000 and verdicts.count(False) > 1000
+    for m in raw:
+        if not is_acyclic(m):
+            assert is_weakly_galled(m) in (True, False)
+
+
+def _cycles_digest(nets) -> str:
+    h = hashlib.sha256()
+    for n in nets:
+        cyc = [(c.root, c.reticulation, c.side_a, c.side_b) for c in cycles(n)]
+        h.update(repr(cyc).encode())
+    return h.hexdigest()
+
+
+def test_cycles_frozen_on_random_and_diameter_networks():
+    # Roots, reticulations and oriented sides over a random_wgt grid and the
+    # weakly galled diameter pairs; recorded before the cycle walk existed.
+    nets = []
+    for leaves in range(2, 61, 3):
+        for retics in range(0, 7):
+            for seed in (0, 1):
+                try:
+                    nets.append(random_wgt(leaves, retics, seed))
+                except GenerationFailed:
+                    continue
+    for l in range(4, 9):
+        for m in range(2, 3 * l + 1, 2):
+            for mp in range(2, 3 * l + 1, 3):
+                try:
+                    pair = diameter_pair(l, m, mp)
+                except InvalidParameters:
+                    continue
+                nets += [n for n in pair if is_weakly_galled(n)]
+    assert len(nets) > 400
+    assert _cycles_digest(nets) == "8837b2138f0c32665631d104d5f7ac7a8b828910c170a3869b46dc21f9c7d820"

@@ -12,6 +12,7 @@ from phylocontract import (
     is_isomorphic,
     parse_edgelist,
     parse_enewick,
+    validate,
     write_edgelist,
     write_enewick,
 )
@@ -48,6 +49,24 @@ def test_writer_sorts_children(t3a):
     shuffled = parse_enewick("(3,(2,1));")
     assert write_enewick(shuffled) == "((1,2),3);"
     assert write_enewick(t3a) == "((1,2),3);"
+
+
+def test_writer_handles_deep_caterpillar():
+    # 2000 nesting levels, past the recursion limit. Leaves at odd levels
+    # sort after everything below them, so the subtree is written first there.
+    depth = 2000
+
+    def label(i):
+        return f"{i:04d}" if i % 2 == 0 else f"z{i:04d}"
+
+    edges = [(i, i + 1) for i in range(depth - 1)]
+    edges += [(i, depth + i) for i in range(depth)] + [(depth - 1, 2 * depth)]
+    labels = {depth + i: label(i) for i in range(depth)}
+    labels[2 * depth] = "9999"
+    text = f"(9999,{label(depth - 1)})"
+    for i in range(depth - 2, -1, -1):
+        text = f"({label(i)},{text})" if i % 2 == 0 else f"({text},{label(i)})"
+    assert write_enewick(validate(edges, labels)) == text + ";"
 
 
 def test_quoted_labels_round_trip():

@@ -362,3 +362,36 @@ def test_random_wgt_self_checks_survive_python_O():
         "SelfCheckFailed random_wgt(12, 4, 0)",
         "SelfCheckFailed random_wgt(40, 6, 1)",
     ]
+
+
+EDIT_OPS_CHECK_SCRIPT = """
+import sys
+from phylocontract import parse_enewick
+from phylocontract.edit_ops import Contraction, contract, quotient
+from phylocontract.errors import InvalidParameters
+
+print(f"optimize={sys.flags.optimize}")
+g1 = parse_enewick("(((1)#H1,2),(#H1,3));")
+leaf = min(g1.leaf_label)
+calls = (
+    lambda: contract(g1, Contraction(g1.root, g1.succ[g1.root][0], leaf)),
+    lambda: quotient(g1, [[g1.root]]),
+    lambda: quotient(g1, [g1.internal_nodes(), [leaf]]),
+)
+for call in calls:
+    try:
+        print("returned", call())
+    except InvalidParameters as exc:
+        print(type(exc).__name__, exc)
+"""
+
+
+def test_edit_ops_argument_checks_survive_python_O():
+    # Merging onto a used node id, or a partition that misses or exceeds the
+    # internal nodes, must be refused, not turned into a corrupt network.
+    assert _run_optimized(EDIT_OPS_CHECK_SCRIPT) == [
+        "optimize=1",
+        "InvalidParameters merge node 0 must be fresh",
+        "InvalidParameters parts must cover exactly the internal nodes",
+        "InvalidParameters parts must cover exactly the internal nodes",
+    ]

@@ -146,6 +146,21 @@ def test_iso_distinguishes_topologies(t3a, t3b, star3):
     assert not ok and mapping is None
 
 
+def test_iso_backtracks_to_the_same_mapping():
+    # Unary chains root-1-3 and root-4-5-6 meet at reticulation 7; 1/4 and
+    # 3/5 share signatures. The search first sends 1 to m's 1 (the image of
+    # 4), assigns 2 in the unrelated gadget, finds no image for 3, exhausts
+    # 2's candidates, and only then corrects 1; 2 must start over.
+    tail = [(7, 10), (0, 2), (0, 8), (2, 9), (8, 9), (9, 11)]
+    labels = {10: "a", 11: "b"}
+    n = validate([(0, 1), (1, 3), (3, 7), (0, 4), (4, 5), (5, 6), (6, 7), *tail], labels)
+    m = validate([(0, 4), (4, 5), (5, 7), (0, 1), (1, 3), (3, 6), (6, 7), *tail], labels)
+    ok, mapping = is_isomorphic(n, m, return_mapping=True)
+    assert ok
+    want = {0: 0, 1: 4, 2: 2, 3: 5, 4: 1, 5: 3, 6: 6, 7: 7, 8: 8, 9: 9, 10: 10, 11: 11}
+    assert mapping == want
+
+
 def test_iso_is_label_sensitive(t3a):
     renamed = parse_enewick("((1,2),4);")
     assert not is_isomorphic(t3a, renamed)
