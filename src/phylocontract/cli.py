@@ -340,8 +340,9 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.func(args)
     except RecursionError:
-        # The parser and the solver still recurse once per nesting level;
-        # past Python's limit the input is refused.
+        # The eNewick parser still recurses once per nesting level, and so
+        # can the oracle at a huge --max-internal; past Python's limit the
+        # input is refused.
         error: PhyloError = NestingTooDeep("input is nested too deeply to process")
     except PhyloError as exc:
         error = exc

@@ -206,22 +206,15 @@ def inverse_expansion(n_before: Network, c: Contraction) -> Expansion:
 def contract_to_star(n: Network) -> EditSequence:
     """Admissible contractions collapsing all internal nodes into the root.
 
-    Strategy: repeatedly contract the edge from the root to its first
-    non-leaf out-neighbor in topological order. Any alternative root→c path
-    would route through an earlier non-leaf out-neighbor, so the chosen edge
-    never has one and each step is admissible.
+    This is witness_to_sequence on the one-part star witness: it repeatedly
+    contracts the edge from the root to its first non-leaf out-neighbor in
+    topological order. Any alternative root→c path would route through an
+    earlier non-leaf out-neighbor, so the chosen edge never has one and each
+    step is admissible.
     """
-    steps: list[Contraction] = []
-    cur = n
-    while cur.num_internal > 1:
-        position = {x: i for i, x in enumerate(topological_order(cur))}
-        candidates = [x for x in cur.succ[cur.root] if not cur.is_leaf(x)]
-        target = min(candidates, key=position.__getitem__)
-        w = cur.fresh_id()
-        assert is_admissible(cur, cur.root, target)
-        steps.append(Contraction(cur.root, target, w))
-        cur = contract(cur, steps[-1])
-    return EditSequence(tuple(steps))
+    internals = n.internal_nodes()
+    star, _ = quotient(n, [internals])
+    return witness_to_sequence(n, star, WitnessStructure({0: frozenset(internals)}))
 
 
 def apply_sequence(n: Network, seq: EditSequence) -> Network:

@@ -244,7 +244,14 @@ def write_enewick(n: Network) -> str:
                 tags[u] = len(tags) + 1
                 close = f")#H{tags[u]}"
             stack.append(close)
-            children = sorted(n.succ[u], key=lambda c: (_label_indices(d[c]), c))
+            # The lowest set bit leads each sort key; when those differ, it
+            # alone decides the order and the full index tuple is not built.
+            kids = n.succ[u]
+            low = [d[c] & -d[c] for c in kids]
+            if len(set(low)) == len(kids):
+                children = [c for _, c in sorted(zip(low, kids))]
+            else:
+                children = sorted(kids, key=lambda c: (_label_indices(d[c]), c))
             for i, c in enumerate(reversed(children)):
                 if i:
                     stack.append(",")

@@ -29,11 +29,14 @@ bitmask, so no clade set is ever built.
 Costs count contractions on both sides; the optimum then satisfies
 delta = |I1| + |I2| - 2 |I(M)|. A traceback over the memoized choices
 rebuilds the witness partitions and the common contraction itself.
+
+Evaluation and traceback run on explicit stacks: each recurrence is a
+generator that yields the sub-entries it needs to one memo driver, so
+neither depends on Python's recursion limit.
 """
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass
 
 from .edit_ops import WitnessStructure, check_witness, quotient
@@ -157,9 +160,6 @@ class _NetData:
         self._scope_cache: dict[tuple, tuple] = {}
 
     # -- cyclic geometry ---------------------------------------------------
-
-    def length(self, ci: int) -> int:
-        return len(self.order[ci])
 
     def next_a(self, ci: int, u: NodeId) -> NodeId:
         return self.order[ci][self.pos[ci][u] + 1]
@@ -336,6 +336,7 @@ class _Solver:
         self.fc_memo: dict = {}
         self.fp_memo: dict = {}
         self.fl_memo: dict = {}
+        self.memos = {"C": self.fc_memo, "P": self.fp_memo, "L": self.fl_memo}
         self.cands: list[dict] = [{}, {}]
 
     # -- rule machinery ------------------------------------------------------
@@ -408,73 +409,84 @@ class _Solver:
         return None
 
     # -- recurrences -----------------------------------------------------------
+    #
+    # Each recurrence is a generator: it yields (table, key) to ask for a
+    # sub-entry's value, receives that value back, and returns (value,
+    # choice). _evaluate owns the memo tables and the stack.
+
+    def _evaluate(self, table: str, key: tuple):
+        """Value of one entry. Every entry on the way is memoized; an entry
+        asked for while it is still open reads as INF."""
+        memos = self.memos
+        steps = {"C": self.fC, "P": self.fP, "L": self.fL}
+        stack = []  # open entries, innermost last: (memo, key, generator)
+        while True:
+            memo = memos[table]
+            hit = memo.get(key)
+            if hit is None:
+                memo[key] = (INF, None)  # cycle guard; never revisited
+                gen = steps[table](*key)
+                stack.append((memo, key, gen))
+                value = None  # starts the new generator
+            elif stack:
+                value = hit[0]
+            else:
+                return hit[0]
+            while True:
+                try:
+                    table, key = gen.send(value)
+                    break
+                except StopIteration as done:
+                    memo, entry, _ = stack.pop()
+                    memo[entry] = done.value
+                    value = done.value[0]
+                    if not stack:
+                        return value
+                    gen = stack[-1][2]
 
     def fC(self, k1: tuple, k2: tuple):
-        key = (k1, k2)
-        hit = self.fc_memo.get(key)
-        if hit is not None:
-            return hit[0]
-        self.fc_memo[key] = (INF, None)  # cycle guard; never revisited
-        ls1 = self.nd[0].comp_leafset(k1)
-        ls2 = self.nd[1].comp_leafset(k2)
-        if ls1 != ls2:
-            self.fc_memo[key] = (INF, None)
-            return INF
+        if self.nd[0].comp_leafset(k1) != self.nd[1].comp_leafset(k2):
+            return INF, None
         if not k1 and not k2:
-            self.fc_memo[key] = (0, ("empty",))
-            return 0
+            return 0, ("empty",)
 
         fired = self.rule_step(k1, k2)
         if fired is not None:
             s, z, pair = fired
-            val = _add(1, self.fC(*pair))
-            self.fc_memo[key] = (val, ("rule", s, z, pair))
-            return val
+            return _add(1, (yield "C", pair)), ("rule", s, z, pair)
 
         by_ls1 = {self.nd[0].prime_leafset(p): p for p in k1}
         by_ls2 = {self.nd[1].prime_leafset(p): p for p in k2}
         assert len(by_ls1) == len(k1) and len(by_ls2) == len(k2)
         if set(by_ls1) != set(by_ls2):
-            self.fc_memo[key] = (INF, None)
-            return INF
-        pairs = [(by_ls1[ls], by_ls2[ls]) for ls in sorted(by_ls1)]
+            return INF, None
+        pairs = tuple((by_ls1[ls], by_ls2[ls]) for ls in sorted(by_ls1))
         val = 0
-        for p1, p2 in pairs:
-            val = _add(val, self.fP(p1, p2))
+        for pair in pairs:
+            val = _add(val, (yield "P", pair))
             if val == INF:
                 break
-        self.fc_memo[key] = (val, ("match", tuple(pairs)))
-        return val
+        return val, ("match", pairs)
 
     def fP(self, p1, p2):
-        key = (p1, p2)
-        hit = self.fp_memo.get(key)
-        if hit is not None:
-            return hit[0]
-        self.fp_memo[key] = (INF, None)
         nd1, nd2 = self.nd
-
         if p1[0] == "D" and p2[0] == "D":
             u, v = p1[1], p2[1]
             u_leaf = u in nd1.n.leaf_label
             v_leaf = v in nd2.n.leaf_label
             if u_leaf and v_leaf:
-                out = (0, ("leafleaf",))
-            elif u_leaf:
-                out = (nd2.internal_count_below(v), ("collapse2", v))
-            elif v_leaf:
-                out = (nd1.internal_count_below(u), ("collapse1", u))
-            else:
-                pair = (nd1.decompose(u), nd2.decompose(v))
-                out = (self.fC(*pair), ("pairnode", u, v, pair))
-        elif p1[0] == "D" and p2[0] == "C":
-            out = self._case_mixed(0, p1, p2)
-        elif p1[0] == "C" and p2[0] == "D":
-            out = self._case_mixed(1, p2, p1)
-        else:
-            out = self._case_cycles(p1, p2)
-        self.fp_memo[key] = out
-        return out[0]
+                return 0, ("leafleaf",)
+            if u_leaf:
+                return nd2.internal_count_below(v), ("collapse2", v)
+            if v_leaf:
+                return nd1.internal_count_below(u), ("collapse1", u)
+            pair = (nd1.decompose(u), nd2.decompose(v))
+            return (yield "C", pair), ("pairnode", u, v, pair)
+        if p1[0] == "D":
+            return (yield from self._case_mixed(0, p1, p2))
+        if p2[0] == "D":
+            return (yield from self._case_mixed(1, p2, p1))
+        return (yield from self._case_cycles(p1, p2))
 
     def _case_mixed(self, dside: int, dp, cp):
         """dp = ("D", u) on side dside; cp = cycle top on the other side."""
@@ -490,10 +502,10 @@ class _Solver:
         dec_u = nd_d.decompose(u)
         dec_win = nd_c.decompose_path(ci, window)
         keep_pair = (dec_u, dec_win) if dside == 0 else (dec_win, dec_u)
-        keep = _add(charge, self.fC(*keep_pair))
+        keep = _add(charge, (yield "C", keep_pair))
 
         con_pair = (dec_u, (cp,)) if dside == 0 else ((cp,), dec_u)
-        con = _add(1, self.fC(*con_pair))
+        con = _add(1, (yield "C", con_pair))
 
         if keep <= con:
             return (keep, ("c2keep", dside, u, window, keep_pair))
@@ -514,7 +526,7 @@ class _Solver:
                     continue  # absorbing the reticulation closes a cycle
                 new_comp = self.advance(s, (prime,), prime, z)
                 pair = (new_comp, (other,)) if s == 0 else ((other,), new_comp)
-                val = _add(1, self.fC(*pair))
+                val = _add(1, (yield "C", pair))
                 if val < best[0]:
                     best = (val, ("c4contract", s, z, pair))
 
@@ -539,7 +551,7 @@ class _Solver:
                 if nd2.d[t2] == target:
                     cands.append((t2, t2))
                 for c, dd in cands:
-                    val, info = self._fB(p1, p2, a, b, c, dd)
+                    val, info = yield from self._fB(p1, p2, a, b, c, dd)
                     if val < best[0]:
                         best = (val, ("b5", a, b, c, dd, info))
         return best
@@ -555,7 +567,7 @@ class _Solver:
         cost = (len(path1) - 1) + (len(path2) - 1)
         dec1 = nd1.decompose_path(ci, path1)
         dec2 = nd2.decompose_path(cj, path2)
-        bottom = self.fC(dec1, dec2)
+        bottom = yield "C", (dec1, dec2)
         if bottom == INF:
             return INF, None
 
@@ -563,8 +575,8 @@ class _Solver:
         rb1 = _run_between(nd1, ci, 1, v, b)
         ra2 = _run_between(nd2, cj, 0, w, c)
         rb2 = _run_between(nd2, cj, 1, x, dd)
-        straight = _add(self.fL(ra1, ra2), self.fL(rb1, rb2))
-        cross = _add(self.fL(ra1, rb2), self.fL(rb1, ra2))
+        straight = _add((yield "L", (ra1, ra2)), (yield "L", (rb1, rb2)))
+        cross = _add((yield "L", (ra1, rb2)), (yield "L", (rb1, ra2)))
         lat = min(straight, cross)
         pairing = (
             ((ra1, ra2), (rb1, rb2)) if straight <= cross else ((ra1, rb2), (rb1, ra2))
@@ -573,20 +585,11 @@ class _Solver:
         return total, (path1, path2, (dec1, dec2), pairing)
 
     def fL(self, r1, r2):
-        key = (r1, r2)
-        hit = self.fl_memo.get(key)
-        if hit is not None:
-            return hit[0]
-        self.fl_memo[key] = (INF, None)
         nd1, nd2 = self.nd
-        u1 = _run_union(nd1, r1)
-        u2 = _run_union(nd2, r2)
-        if u1 != u2:
-            self.fl_memo[key] = (INF, None)
-            return INF
+        if _run_union(nd1, r1) != _run_union(nd2, r2):
+            return INF, None
         if r1 is None and r2 is None:
-            self.fl_memo[key] = (0, ("emptyrun",))
-            return 0
+            return 0, ("emptyrun",)
         assert r1 is not None and r2 is not None
 
         ci1, s1, lo1, hi1 = r1
@@ -605,10 +608,8 @@ class _Solver:
             k2 = got - 1
             if not (lo2 <= k2 < hi2):
                 continue
-            val = _add(
-                self.fL((ci1, s1, lo1, k), (ci2, s2, lo2, k2)),
-                self.fL((ci1, s1, k + 1, hi1), (ci2, s2, k2 + 1, hi2)),
-            )
+            top, bottom = _split(r1, r2, k, k2)
+            val = _add((yield "L", top), (yield "L", bottom))
             if val < best[0]:
                 best = (val, ("split", k, k2))
 
@@ -616,97 +617,65 @@ class _Solver:
         nodes2 = _run_nodes(nd2, r2)
         dec1 = nd1.decompose_path(ci1, nodes1)
         dec2 = nd2.decompose_path(ci2, nodes2)
-        val = _add((hi1 - lo1) + (hi2 - lo2), self.fC(dec1, dec2))
+        val = _add((hi1 - lo1) + (hi2 - lo2), (yield "C", (dec1, dec2)))
         if val < best[0]:
             best = (val, ("fullrun", nodes1, nodes2, (dec1, dec2)))
-
-        self.fl_memo[key] = best
-        return best[0]
+        return best
 
     # -- traceback ---------------------------------------------------------------
 
-    def trace_fC(self, k1, k2):
-        val, choice = self.fc_memo[(k1, k2)]
+    def _decode(self, table: str, key: tuple):
+        """(nodes 1, nodes 2, opens a part, sub-entries) of a memoized choice.
+        Nodes go to the part the choice opens, else to the nearest enclosing
+        one."""
+        val, choice = self.memos[table][key]
         assert val != INF and choice is not None
         tag = choice[0]
-        if tag == "empty":
-            return set(), set(), []
-        if tag == "rule":
+        if tag in ("empty", "leafleaf", "emptyrun"):
+            return (), (), False, ()
+        if tag in ("rule", "c2contract", "c4contract"):
             _, s, z, pair = choice
-            a1, a2, parts = self.trace_fC(*pair)
-            (a1 if s == 0 else a2).add(z)
-            return a1, a2, parts
+            nodes = ((z,), ()) if s == 0 else ((), (z,))
+            return *nodes, False, (("C", pair),)
         if tag == "match":
-            add1, add2, parts = set(), set(), []
-            for p1, p2 in choice[1]:
-                b1, b2, ps = self.trace_fP(p1, p2)
-                add1 |= b1
-                add2 |= b2
-                parts.extend(ps)
-            return add1, add2, parts
-        raise AssertionError(tag)
-
-    def trace_fP(self, p1, p2):
-        val, choice = self.fp_memo[(p1, p2)]
-        assert val != INF and choice is not None
-        tag = choice[0]
-        if tag == "leafleaf":
-            return set(), set(), []
+            return (), (), False, tuple(("P", pair) for pair in choice[1])
         if tag == "collapse1":
-            return self.nd[0].internals_below(choice[1]), set(), []
+            return self.nd[0].internals_below(choice[1]), (), False, ()
         if tag == "collapse2":
-            return set(), self.nd[1].internals_below(choice[1]), []
+            return (), self.nd[1].internals_below(choice[1]), False, ()
         if tag == "pairnode":
             _, u, v, pair = choice
-            a1, a2, parts = self.trace_fC(*pair)
-            return set(), set(), [({u} | a1, {v} | a2), *parts]
+            return (u,), (v,), True, (("C", pair),)
         if tag == "c2keep":
             _, dside, u, window, pair = choice
-            a1, a2, parts = self.trace_fC(*pair)
-            if dside == 0:
-                part = ({u} | a1, set(window) | a2)
-            else:
-                part = (set(window) | a1, {u} | a2)
-            return set(), set(), [part, *parts]
-        if tag == "c2contract":
-            _, dside, u, pair = choice
-            a1, a2, parts = self.trace_fC(*pair)
-            (a1 if dside == 0 else a2).add(u)
-            return a1, a2, parts
-        if tag == "c4contract":
-            _, s, z, pair = choice
-            a1, a2, parts = self.trace_fC(*pair)
-            (a1 if s == 0 else a2).add(z)
-            return a1, a2, parts
+            nodes = ((u,), window) if dside == 0 else (window, (u,))
+            return *nodes, True, (("C", pair),)
         if tag == "b5":
-            _, a, b, c, dd, info = choice
-            path1, path2, decs, pairing = info
-            b1, b2, inner = self.trace_fC(*decs)
-            parts = [(set(path1) | b1, set(path2) | b2), *inner]
-            for r1, r2 in pairing:
-                parts.extend(self.trace_fL(r1, r2))
-            return set(), set(), parts
-        raise AssertionError(tag)
-
-    def trace_fL(self, r1, r2):
-        val, choice = self.fl_memo[(r1, r2)]
-        assert val != INF and choice is not None
-        tag = choice[0]
-        if tag == "emptyrun":
-            return []
+            path1, path2, decs, pairing = choice[5]
+            return path1, path2, True, (("C", decs), *(("L", pair) for pair in pairing))
         if tag == "split":
             _, k, k2 = choice
-            ci1, s1, lo1, hi1 = r1
-            ci2, s2, lo2, hi2 = r2
-            return [
-                *self.trace_fL((ci1, s1, lo1, k), (ci2, s2, lo2, k2)),
-                *self.trace_fL((ci1, s1, k + 1, hi1), (ci2, s2, k2 + 1, hi2)),
-            ]
+            return (), (), False, tuple(("L", pair) for pair in _split(*key, k, k2))
         if tag == "fullrun":
             _, nodes1, nodes2, decs = choice
-            a1, a2, parts = self.trace_fC(*decs)
-            return [(set(nodes1) | a1, set(nodes2) | a2), *parts]
+            return nodes1, nodes2, True, (("C", decs),)
         raise AssertionError(tag)
+
+    def _trace(self, k1: tuple, k2: tuple) -> list[tuple[set, set]]:
+        """Witness parts in pre-order of the choices that open them; the
+        roots' part is part 0."""
+        parts = [({self.nd[0].n.root}, {self.nd[1].n.root})]
+        stack = [("C", (k1, k2), 0)]
+        while stack:
+            table, key, g = stack.pop()
+            nodes1, nodes2, opens, subs = self._decode(table, key)
+            if opens:
+                g = len(parts)
+                parts.append((set(), set()))
+            parts[g][0].update(nodes1)
+            parts[g][1].update(nodes2)
+            stack.extend((t, k, g) for t, k in reversed(subs))
+        return parts
 
     # -- public ---------------------------------------------------------------
 
@@ -714,16 +683,10 @@ class _Solver:
         nd1, nd2 = self.nd
         k1 = nd1.decompose(nd1.n.root)
         k2 = nd2.decompose(nd2.n.root)
-        limit = sys.getrecursionlimit()
-        try:
-            sys.setrecursionlimit(max(limit, 50000))
-            val = self.fC(k1, k2)
-            if val == INF:
-                raise SelfCheckFailed("no common contraction, not even the star")
-            a1, a2, parts = self.trace_fC(k1, k2)
-        finally:
-            sys.setrecursionlimit(limit)
-        parts = [({nd1.n.root} | a1, {nd2.n.root} | a2), *parts]
+        val = self._evaluate("C", (k1, k2))
+        if val == INF:
+            raise SelfCheckFailed("no common contraction, not even the star")
+        parts = self._trace(k1, k2)
 
         p1 = [set(p) for p, _ in parts]
         p2 = [set(q) for _, q in parts]
@@ -774,6 +737,16 @@ def _run_union(nd: _NetData, run) -> int:
     ci, side, lo, hi = run
     pref = nd.pref[ci][side]
     return pref[hi + 1] ^ pref[lo]
+
+
+def _split(r1, r2, k: int, k2: int):
+    """The run pairs above and below a split after position k of r1 and k2
+    of r2."""
+    ci1, s1, lo1, hi1 = r1
+    ci2, s2, lo2, hi2 = r2
+    top = ((ci1, s1, lo1, k), (ci2, s2, lo2, k2))
+    bottom = ((ci1, s1, k + 1, hi1), (ci2, s2, k2 + 1, hi2))
+    return top, bottom
 
 
 def _run_nodes(nd: _NetData, run) -> tuple[NodeId, ...]:

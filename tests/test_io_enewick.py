@@ -52,20 +52,20 @@ def test_writer_sorts_children(t3a):
 
 
 def test_writer_handles_deep_caterpillar():
-    # 2000 nesting levels, past the recursion limit. Leaves at odd levels
+    # 10^4 nesting levels, past the recursion limit. Leaves at odd levels
     # sort after everything below them, so the subtree is written first there.
-    depth = 2000
+    depth = 10**4
 
     def label(i):
-        return f"{i:04d}" if i % 2 == 0 else f"z{i:04d}"
+        return f"{i:05d}" if i % 2 == 0 else f"z{i:05d}"
 
     edges = [(i, i + 1) for i in range(depth - 1)]
     edges += [(i, depth + i) for i in range(depth)] + [(depth - 1, 2 * depth)]
     labels = {depth + i: label(i) for i in range(depth)}
-    labels[2 * depth] = "9999"
-    text = f"(9999,{label(depth - 1)})"
-    for i in range(depth - 2, -1, -1):
-        text = f"({label(i)},{text})" if i % 2 == 0 else f"({text},{label(i)})"
+    labels[2 * depth] = "99999"
+    opens = [f"({label(i)}," if i % 2 == 0 else "(" for i in range(depth - 1)]
+    closes = [")" if i % 2 == 0 else f",{label(i)})" for i in range(depth - 1)]
+    text = "".join(opens) + f"(99999,{label(depth - 1)})" + "".join(reversed(closes))
     assert write_enewick(validate(edges, labels)) == text + ";"
 
 

@@ -15,7 +15,7 @@ from phylocontract.edit_ops import validate_witness
 from phylocontract.errors import Degree2Node, LeafSetMismatch, NotWeaklyGalled
 from phylocontract.galled import is_weakly_galled
 from phylocontract.generators import SplitMix64
-from phylocontract.io_enewick import parse_enewick, write_enewick
+from phylocontract.io_enewick import parse_edgelist, parse_enewick, write_enewick
 from phylocontract.mcc_dp import _Solver, solve, solve_with_stats
 from phylocontract.mcc_oracle import exact_mcc, is_contraction
 from phylocontract.network_core import is_isomorphic
@@ -309,13 +309,18 @@ for f in (solve, exact_mcc, tree_mcc):
 """
 
 
-def _run_optimized(script: str) -> list[str]:
-    """Run `script` under python -O and return its stdout lines."""
+def _src_env() -> dict[str, str]:
+    """os.environ with this checkout's src/ first on PYTHONPATH."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": path}
+
+
+def _run_optimized(script: str) -> list[str]:
+    """Run `script` under python -O and return its stdout lines."""
     proc = subprocess.run(
         [sys.executable, "-O", "-c", script],
-        env={**os.environ, "PYTHONPATH": path},
+        env=_src_env(),
         capture_output=True,
         text=True,
         timeout=120,
@@ -395,3 +400,53 @@ def test_edit_ops_argument_checks_survive_python_O():
         "InvalidParameters parts must cover exactly the internal nodes",
         "InvalidParameters parts must cover exactly the internal nodes",
     ]
+
+
+# -- explicit evaluation stack ----------------------------------------------------
+
+
+def _caterpillar_edgelist(leaves: int) -> str:
+    """Edge list of a caterpillar: a chain of leaves - 1 internal nodes, one
+    leaf per level and two at the bottom."""
+    lines = []
+    for i in range(leaves - 1):
+        if i < leaves - 2:
+            lines.append(f"i{i} i{i + 1}")
+        lines.append(f"i{i} l{i}")
+    lines.append(f"i{leaves - 2} l{leaves - 1}")
+    lines.append("#leaves")
+    lines.extend(f"l{i} x{i}" for i in range(leaves))
+    return "\n".join(lines) + "\n"
+
+
+def test_solve_leaves_the_recursion_limit_alone(monkeypatch):
+    # 3000 levels is three times Python's default recursion limit; the DP
+    # and its traceback must neither recurse per level nor raise the limit.
+    def refuse(limit):
+        raise AssertionError(f"setrecursionlimit({limit}) called")
+
+    monkeypatch.setattr(sys, "setrecursionlimit", refuse)
+    n = parse_edgelist(_caterpillar_edgelist(3000))
+    delta, m, w1, w2 = solve(n, n)
+    assert (delta, m.num_internal) == (0, 2999)
+    assert w1 == w2
+
+
+def test_cli_solves_20000_leaf_caterpillar(tmp_path):
+    # Deep enough that a recursive evaluation overflows the C stack even
+    # with a raised recursion limit.
+    path = tmp_path / "c.edges"
+    path.write_text(_caterpillar_edgelist(20000), encoding="utf-8")
+    argv = [sys.executable, "-m", "phylocontract", "--format", "edgelist"]
+    proc = subprocess.run(
+        [*argv, "mcc", "wgt", str(path), str(path)],
+        env=_src_env(),
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        0,
+        "delta=0 common_size=19999\n",
+        "",
+    )
