@@ -23,6 +23,7 @@ from .errors import (
     LeafSetMismatch,
     NestingTooDeep,
     NotWeaklyGalled,
+    OutOfMemory,
     PhyloError,
     UnknownNode,
 )
@@ -344,6 +345,10 @@ def main(argv: list[str] | None = None) -> int:
         # can the oracle at a huge --max-internal; past Python's limit the
         # input is refused.
         error: PhyloError = NestingTooDeep("input is nested too deeply to process")
+    except MemoryError:
+        # A large input can exhaust memory (the DP's node-indexed bitmasks
+        # grow quadratically with depth); it is refused like any other.
+        error = OutOfMemory("not enough memory to process the input")
     except PhyloError as exc:
         error = exc
     except OSError as exc:

@@ -107,6 +107,10 @@ class NestingTooDeep(PhyloError):
     """The input nests deeper than the recursive traversals can follow."""
 
 
+class OutOfMemory(PhyloError):
+    """The input needs more memory than the process could allocate."""
+
+
 # --- internal self-checks ---------------------------------------------------
 
 class SelfCheckFailed(PhyloError):

@@ -5,9 +5,20 @@ every partition of the internal nodes of the first network into weakly
 connected parts, quotients, and keeps the largest quotient that is also a
 contraction of the second network. `is_contraction` decides the single-pair
 question by backtracking over part assignments.
+
+`is_contraction` is one preparation of its first network (`_prepare`) and
+one search (`_search`). `exact_mcc` prepares the second network once and
+skips, before building its quotient, every partition the search would
+refuse before its first step (`_prefilter`): too many parts, or leaves that
+share a parent in the second network but whose parents in the first lie in
+different parts (the second root maps to the part of the first). The
+enumeration, the tie-break, the results and every `--budget` count are
+those of quotienting and searching each partition. `tree_mcc` finds each node's minimal shared clade in one top-down pass.
 """
 
 from __future__ import annotations
+
+from typing import NamedTuple
 
 from .edit_ops import WitnessStructure, check_witness, quotient, validate_witness
 from .errors import (
@@ -16,6 +27,7 @@ from .errors import (
     LeafSetMismatch,
     NotATree,
     PhyloError,
+    SelfCheckFailed,
     SizeCapExceeded,
 )
 from .network_core import Network, NodeId, topological_order
@@ -83,33 +95,44 @@ def connected_partitions(n: Network, budget: int | None = None):
     yield from rec(frozenset(nbrs))
 
 
-def is_contraction(
-    n: Network, m: Network, budget: int | None = None
-) -> WitnessStructure | None:
-    """Witness that m is a contraction of n, or None.
+class _Target(NamedTuple):
+    """The half of `is_contraction` that depends on n alone: n, its internal
+    nodes in topological order, its clades and each leaf's parent by label."""
 
-    Backtracking assignment of I(n) to I(m) in topological order: leaf
-    parents are forced by label, the root maps to the root, clades must
-    nest, and every already-assigned in-neighbor must land on the same part
-    or along an edge of m.
-    """
+    n: Network
+    internal: list[NodeId]
+    clades: dict[NodeId, int]
+    leaf_parent: dict[str, NodeId]
+
+
+def _prepare(n: Network) -> _Target:
+    return _Target(
+        n,
+        [u for u in topological_order(n) if u not in n.leaf_label],
+        n.clades(),
+        {lab: n.pred[u][0] for u, lab in n.leaf_label.items()},
+    )
+
+
+def _search(
+    target: _Target, m: Network, budget: int | None = None
+) -> WitnessStructure | None:
+    """`is_contraction` against a prepared n."""
+    n, internal_n, dn = target.n, target.internal, target.clades
     if n.leaf_universe != m.leaf_universe:
         raise LeafSetMismatch(f"{n.leaf_universe} vs {m.leaf_universe}")
-    internal_n = [u for u in topological_order(n) if u not in n.leaf_label]
     internal_m = set(m.internal_nodes())
     if len(internal_n) < len(internal_m):
         return None
 
-    dn, dm = n.clades(), m.clades()
+    dm = m.clades()
     m_edges = {
         (u, v) for u, v in m.edges() if u in internal_m and v in internal_m
     }
-    required = {v: m.pred[v][0] for v in m.leaf_label}  # by label below
 
     forced: dict[NodeId, NodeId] = {n.root: m.root}
-    for lbl, leaf_m in ((m.leaf_label[v], v) for v in m.leaf_label):
-        leaf_n = n.leaf_by_label()[lbl]
-        pn, pm = n.pred[leaf_n][0], required[leaf_m]
+    for leaf_m, lbl in m.leaf_label.items():
+        pn, pm = target.leaf_parent[lbl], m.pred[leaf_m][0]
         if pn in forced and forced[pn] != pm:
             return None
         forced[pn] = pm
@@ -159,6 +182,46 @@ def is_contraction(
     return rec(0)
 
 
+def is_contraction(
+    n: Network, m: Network, budget: int | None = None
+) -> WitnessStructure | None:
+    """Witness that m is a contraction of n, or None.
+
+    Backtracking assignment of I(n) to I(m) in topological order: leaf
+    parents are forced by label, the root maps to the root, clades must
+    nest, and every already-assigned in-neighbor must land on the same part
+    or along an edge of m.
+    """
+    return _search(_prepare(n), m, budget)
+
+
+def _prefilter(n1: Network, target: _Target):
+    """Predicate on partitions of I(n1): does `_search(target, ...)` refuse
+    the partition's quotient before its first step?
+
+    It does when the quotient has more internal nodes than the target, or
+    when the map it forces from the target onto the quotient is not a
+    function. A valid quotient's root is the part of n1's root and each leaf
+    hangs from the part of its n1 parent, so the map is a function iff n1's
+    root and the n1 parents of the leaves below the target's root share a
+    part, and so do the n1 parents of any two leaves that share a parent in
+    the target. On partitions whose quotient is invalid the answer does not
+    matter: `exact_mcc` skips those either way.
+    """
+    by_target: dict[NodeId, set[NodeId]] = {target.n.root: {n1.root}}
+    for leaf, lab in n1.leaf_label.items():
+        by_target.setdefault(target.leaf_parent[lab], set()).add(n1.pred[leaf][0])
+    groups = [frozenset(g) for g in by_target.values() if len(g) > 1]
+    limit = len(target.internal)
+
+    def doomed(parts) -> bool:
+        if len(parts) > limit:
+            return True
+        return any(g & part and not g <= part for g in groups for part in parts)
+
+    return doomed
+
+
 def exact_mcc(
     n1: Network,
     n2: Network,
@@ -181,8 +244,12 @@ def exact_mcc(
                 f"{label} network has {count} internal nodes (cap {max_internal})"
             )
 
+    target = _prepare(n2)
+    doomed = _prefilter(n1, target)
     best = None  # (-(num parts), canon, m, w1, w2)
     for parts in connected_partitions(n1, budget=budget):
+        if doomed(parts):
+            continue
         canon = tuple(sorted(tuple(sorted(p)) for p in parts))
         key = (-len(parts), canon)
         if best is not None and key >= best[0]:
@@ -191,7 +258,7 @@ def exact_mcc(
             m, part_of = quotient(n1, [set(p) for p in parts])
         except PhyloError:
             continue
-        w2 = is_contraction(n2, m, budget=budget)
+        w2 = _search(target, m, budget)
         if w2 is None:
             continue
         groups: dict[NodeId, set[NodeId]] = {}
@@ -201,10 +268,34 @@ def exact_mcc(
         check_witness(n1, m, w1)
         best = (key, m, w1, w2)
 
-    assert best is not None  # the all-in-one-part partition always survives
+    if best is None:
+        # The one-part partition quotients to a star, a contraction of n2.
+        raise SelfCheckFailed("no partition of the first network contracts the second")
     _, m, w1, w2 = best
     delta = i1 + i2 - 2 * m.num_internal
     return delta, m, w1, w2
+
+
+def _shared_hosts(
+    t: Network, d: dict[NodeId, int], index: dict[int, int]
+) -> tuple[dict[NodeId, int], dict[int, int]]:
+    """One top-down pass over tree t. Returns, for every node, the index of
+    its nearest ancestor-or-self whose clade is shared, and, for every shared
+    clade but the root's, the index of the next shared clade above it. The
+    shared family is laminar and t's clades grow towards the root, so the
+    nearest shared ancestor-or-self is the minimal shared superset."""
+    host = {t.root: index[d[t.root]]}
+    above: dict[int, int] = {}
+    stack = [t.root]
+    while stack:
+        u = stack.pop()
+        for v in t.succ[u]:
+            i = index.get(d[v], host[u])
+            if i != host[u]:
+                above[i] = host[u]
+            host[v] = i
+            stack.append(v)
+    return host, above
 
 
 def tree_mcc(
@@ -232,37 +323,28 @@ def tree_mcc(
 
     index = {bits: i for i, bits in enumerate(shared)}
     k = len(shared)
-    universe = t1.leaf_universe
+    host1, above = _shared_hosts(t1, d1, index)
+    host2, _ = _shared_hosts(t2, d2, index)
     succ: dict[NodeId, set[NodeId]] = {i: set() for i in range(k)}
-    for i, bits in enumerate(shared):
-        supersets = [c for c in shared if bits != c and bits & ~c == 0]
-        if supersets:
-            parent = min(supersets, key=lambda b: (bin(b).count("1"), b))
-            succ[index[parent]].add(i)
+    for i, parent in above.items():
+        succ[parent].add(i)
     leaf_label: dict[NodeId, str] = {}
-    for j, lbl in enumerate(universe):
-        bit = 1 << j
-        host = min(
-            (c for c in shared if c & bit), key=lambda b: (bin(b).count("1"), b)
-        )
+    by_label = t1.leaf_by_label()
+    for j, lbl in enumerate(t1.leaf_universe):
         leaf = k + j
         succ[leaf] = set()
-        succ[index[host]].add(leaf)
+        succ[host1[by_label[lbl]]].add(leaf)
         leaf_label[leaf] = lbl
     # The full leaf set is shared by both roots and sorts last.
     m = Network(succ, leaf_label, root=k - 1)
 
-    def witness(t: Network, d: dict[NodeId, int]) -> WitnessStructure:
+    def witness(t: Network, host: dict[NodeId, int]) -> WitnessStructure:
         parts: dict[NodeId, set[NodeId]] = {i: set() for i in range(k)}
         for u in t.internal_nodes():
-            host = min(
-                (c for c in shared if d[u] & ~c == 0),
-                key=lambda b: (bin(b).count("1"), b),
-            )
-            parts[index[host]].add(u)
+            parts[host[u]].add(u)
         return WitnessStructure({i: frozenset(p) for i, p in parts.items()})
 
-    w1, w2 = witness(t1, d1), witness(t2, d2)
+    w1, w2 = witness(t1, host1), witness(t2, host2)
     check_witness(t1, m, w1)
     check_witness(t2, m, w2)
     delta = t1.num_internal + t2.num_internal - 2 * k

@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 from conftest import G1_TEXT, STAR3_TEXT, T3A_TEXT, T3B_TEXT
+from phylocontract import cli
 from phylocontract.cli import main
 from phylocontract.generators import random_wgt
 from phylocontract.io_enewick import parse_enewick, write_enewick
@@ -79,6 +80,18 @@ def test_deep_input_exits_two(files, capsys, cmd):
     code, out, err = run(capsys, argv)
     assert code == 2 and out == ""
     assert err.startswith("error: NestingTooDeep:")
+
+
+def test_memory_error_exits_two(files, capsys, monkeypatch):
+    # Running out of memory is reported like any other refused input.
+    def exhaust(n1, n2):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "solve", exhaust)
+    path = files("g1.nwk", G1_TEXT)
+    code, out, err = run(capsys, ["mcc", "wgt", path, path])
+    assert (code, out) == (2, "")
+    assert err == "error: OutOfMemory: not enough memory to process the input\n"
 
 
 # -- iso --------------------------------------------------------------------------

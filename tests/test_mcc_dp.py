@@ -295,6 +295,7 @@ def test_has_value_matches_materialized_clades(spec):
 SELF_CHECK_SCRIPT = """
 import sys
 import phylocontract.edit_ops as edit_ops
+import phylocontract.mcc_oracle as mcc_oracle
 from phylocontract import exact_mcc, parse_enewick, solve, tree_mcc
 from phylocontract.errors import SelfCheckFailed
 
@@ -306,6 +307,12 @@ for f in (solve, exact_mcc, tree_mcc):
         f(a, b)
     except SelfCheckFailed as exc:
         print(f.__name__, exc)
+# a search that refuses every quotient leaves exact_mcc without a result
+mcc_oracle._search = lambda target, m, budget=None: None
+try:
+    print("returned", exact_mcc(a, b))
+except SelfCheckFailed as exc:
+    print("exact_mcc", exc)
 """
 
 
@@ -331,10 +338,12 @@ def _run_optimized(script: str) -> list[str]:
 
 def test_witness_self_checks_survive_python_O():
     # python -O drops asserts; the checks that end solve, exact_mcc and
-    # tree_mcc must still catch a witness that fails validation.
+    # tree_mcc must still catch a witness that fails validation, and
+    # exact_mcc must still notice that no partition survived.
     assert _run_optimized(SELF_CHECK_SCRIPT) == [
         "optimize=1",
         *(f"{name} witness check failed: planted" for name in ("solve", "exact_mcc", "tree_mcc")),
+        "exact_mcc no partition of the first network contracts the second",
     ]
 
 

@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import functools
+import hashlib
 import itertools
+import json
 
 import pytest
 from hypothesis import given, settings
@@ -13,18 +16,26 @@ from phylocontract import (
     is_contraction,
     is_isomorphic,
     parse_enewick,
+    quotient,
+    reduction_deg_bounded,
+    reduction_five_leaves,
     tree_mcc,
     validate_witness,
+    write_enewick,
 )
+from phylocontract import mcc_oracle
+from phylocontract.cli import _witness_json
 from phylocontract.errors import (
     BudgetExhausted,
     Degree2Node,
     LeafSetMismatch,
     NotATree,
+    PhyloError,
     SizeCapExceeded,
 )
+from phylocontract.generators import SetSplittingInstance, SplitMix64
 from phylocontract.mcc_oracle import connected_partitions
-from tests.conftest import gen_wgt
+from tests.conftest import gen_wgt, perturb
 
 
 def set_partitions(items):
@@ -170,3 +181,152 @@ def test_exact_mcc_common_is_contraction_of_both(seed):
     assert is_contraction(n1, m) is not None
     assert is_contraction(n2, m) is not None
     assert delta == n1.num_internal + n2.num_internal - 2 * m.num_internal
+
+
+# -- pinned outputs ---------------------------------------------------------------
+
+
+def _digest(lines) -> str:
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+
+def _result_line(result) -> str:
+    delta, m, w1, w2 = result
+    return json.dumps([delta, write_enewick(m), _witness_json(w1), _witness_json(w2)])
+
+
+def _tree_pairs():
+    """Hand-made edge cases, then seeded random trees against a contracted
+    copy and against an independent tree, in both orders."""
+    texts = (("((1,2,3));", "(1,(2,3));"), ("(1);", "(1);"), ("((1,2),3);", "(1,2,3);"))
+    pairs = [(parse_enewick(a), parse_enewick(b)) for a, b in texts]
+    rng = SplitMix64(6006)
+    for i in range(24):
+        leaves = rng.randint(3, 90)
+        t = gen_wgt(leaves, 0, rng.randrange(1 << 30))
+        if i % 2:
+            other = gen_wgt(leaves, 0, rng.randrange(1 << 30))
+        else:
+            other = perturb(t, rng.randint(1, 12), rng.randrange(1 << 30))
+        pairs.append((t, other) if i % 4 < 2 else (other, t))
+    return pairs
+
+
+def test_tree_mcc_output_is_pinned():
+    lines = [_result_line(tree_mcc(t1, t2)) for t1, t2 in _tree_pairs()]
+    assert _digest(lines) == TREE_MCC_DIGEST
+
+
+def _oracle_pairs():
+    """Seeded small pairs: random weakly galled trees against a contracted
+    copy (in both orders) and against an independent network, plus both Set
+    Splitting reductions of an unsplittable instance."""
+    rng = SplitMix64(8008)
+    pairs = []
+    while len(pairs) < 36:
+        leaves = rng.randint(3, 6)
+        n = gen_wgt(leaves, rng.randint(0, 2), rng.randrange(1 << 30))
+        kind = len(pairs) % 3
+        if kind == 2:
+            other = gen_wgt(leaves, rng.randint(0, 2), rng.randrange(1 << 30))
+        else:
+            other = perturb(n, rng.randint(1, 3), rng.randrange(1 << 30))
+        if max(n.num_internal, other.num_internal) <= 9:
+            pairs.append((other, n) if kind == 1 else (n, other))
+    inst = SetSplittingInstance(("a", "b"), (frozenset("a"),))
+    for build in (reduction_deg_bounded, reduction_five_leaves):
+        n1, n2, _ = build(inst)
+        pairs.append((n1, n2))
+    return pairs
+
+
+ORACLE_BUDGETS = (None, 1, 3, 10, 30, 100, 300, 1000)
+
+
+def _oracle_outcomes() -> list[str]:
+    """exact_mcc's result, or the budget error, per pair and budget."""
+    lines = []
+    for n1, n2 in _oracle_pairs():
+        for budget in ORACLE_BUDGETS:
+            try:
+                result = exact_mcc(n1, n2, max_internal=12, budget=budget)
+            except BudgetExhausted:
+                lines.append(f"{budget} BudgetExhausted")
+            else:
+                lines.append(f"{budget} {_result_line(result)}")
+    return lines
+
+
+def test_exact_mcc_output_and_budget_outcomes_are_pinned():
+    assert _digest(_oracle_outcomes()) == EXACT_MCC_DIGEST
+
+
+def test_prefilter_refuses_exactly_the_pre_search_refusals():
+    # On every connected partition with a valid quotient, the prefilter
+    # refuses iff is_contraction returns None before its first step (a
+    # budget of 0 makes that first step raise).
+    refused = kept = 0
+    for n1, n2 in _oracle_pairs():
+        doomed = mcc_oracle._prefilter(n1, mcc_oracle._prepare(n2))
+        for parts in connected_partitions(n1):
+            try:
+                m, _ = quotient(n1, [set(p) for p in parts])
+            except PhyloError:
+                continue
+            try:
+                pre_search = is_contraction(n2, m, budget=0) is None
+            except BudgetExhausted:
+                pre_search = False
+            assert doomed(parts) == pre_search, (write_enewick(n1), write_enewick(n2), parts)
+            refused += pre_search
+            kept += not pre_search
+    assert refused > kept > 0
+
+
+def _contraction_cases():
+    """(n, targets): quotients of n by every third connected partition, n
+    itself, and independent networks on n's leaves."""
+    rng = SplitMix64(7007)
+    cases = []
+    for _ in range(12):
+        leaves = rng.randint(3, 6)
+        n = gen_wgt(leaves, rng.randint(0, 2), rng.randrange(1 << 30))
+        targets = [n]
+        for i, parts in enumerate(connected_partitions(n)):
+            if i % 3 == 0:
+                try:
+                    targets.append(quotient(n, [set(p) for p in parts])[0])
+                except PhyloError:
+                    pass
+        targets += [gen_wgt(leaves, rng.randint(0, 2), rng.randrange(1 << 30)) for _ in range(3)]
+        cases.append((n, targets))
+    return cases
+
+
+def _contraction_witnesses(prepare) -> list[str]:
+    """The witness per (n, target) case, each target searched through
+    `prepare(n)`, a function of one target."""
+    lines = []
+    for i, (n, targets) in enumerate(_contraction_cases()):
+        search = prepare(n)
+        for j, m in enumerate(targets):
+            w = search(m)
+            lines.append(f"{i} {j} {None if w is None else json.dumps(_witness_json(w))}")
+    return lines
+
+
+def test_one_prepared_target_serves_many_searches():
+    fresh = _contraction_witnesses(lambda n: lambda m: is_contraction(n, m))
+    prepared = _contraction_witnesses(
+        lambda n: functools.partial(mcc_oracle._search, mcc_oracle._prepare(n))
+    )
+    assert prepared == fresh
+    assert sum(" None" not in line for line in fresh) > len(fresh) // 2
+    assert _digest(fresh) == CONTRACTION_DIGEST
+
+
+# Recorded before the prepared target, the prefilter and the one-pass
+# tree_mcc hosts; the outputs must stay byte-identical.
+TREE_MCC_DIGEST = "ebbb3ea020656c8b8c66c98233482450a8b5911e04a5672ff23f2a91ef2426e2"
+EXACT_MCC_DIGEST = "38ac16a62a4b141a5b78761154a789b812a0ac96b2abe0b5684a8e3825ec2431"
+CONTRACTION_DIGEST = "1fe00f73d69f86ebd020589ac99ed7530c2910f6d4803ec2ec014fafc0d9657f"
