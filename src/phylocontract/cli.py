@@ -191,9 +191,12 @@ def cmd_dist_upper(args) -> int:
     print(f"upper={n1.num_internal + n2.num_internal - 2}")
     try:
         delta, _, _, _ = solve(n1, n2)
-    except (NotWeaklyGalled, Degree2Node):
+    except (NotWeaklyGalled, Degree2Node) as exc:
         if not args.quiet:
-            print("delta requires weakly galled inputs", file=sys.stderr)
+            need = "weakly galled inputs"
+            if isinstance(exc, Degree2Node):
+                need = "inputs without internal degree-2 nodes"
+            print(f"delta requires {need}", file=sys.stderr)
     else:
         print(f"delta={delta}")
     return 0

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .errors import LeafSetMismatch, NotWeaklyGalled
+from .errors import LeafSetMismatch, NotWeaklyGalled, SelfCheckFailed
 from .network_core import Network, NodeId, _label_indices
 
 __all__ = [
@@ -51,9 +51,6 @@ class ReticulationCycle:
         """Cyclic listing r, a1..ap, t, bq..b1 (side b reversed)."""
         return (self.root, *self.side_a, self.reticulation, *reversed(self.side_b))
 
-    def nodes(self) -> set[NodeId]:
-        return {self.root, self.reticulation, *self.side_a, *self.side_b}
-
     def edges(self) -> set[tuple[NodeId, NodeId]]:
         pa = [self.root, *self.side_a, self.reticulation]
         pb = [self.root, *self.side_b, self.reticulation]
@@ -76,6 +73,7 @@ class ReticulationCycle:
 class CladeIndex:
     universe: tuple[str, ...]
     d: dict[NodeId, int]
+    cycles: list[ReticulationCycle]
     one_clades: dict[int, tuple[NodeId, ...]] = field(default_factory=dict)
     two_clades: dict[int, tuple[tuple[NodeId, NodeId], ...]] = field(default_factory=dict)
 
@@ -160,17 +158,17 @@ def cycles(n: Network) -> list[ReticulationCycle]:
 
 
 def build_clade_index(n: Network) -> CladeIndex:
-    """Σ1 and Σ2 with their witnessing nodes/pairs.
+    """Σ1 and Σ2 with their witnessing nodes/pairs, and the cycles they
+    were read from.
 
     On degree-2-free inputs the unicity bounds (≤ 2 nodes per 1-clade value,
-    ≤ 1 pair per 2-clade value) are asserted while building.
+    ≤ 1 pair per 2-clade value) are checked while building; a violation
+    raises SelfCheckFailed, also under `python -O`.
     """
     cyc = cycles(n)  # raises NotWeaklyGalled when inapplicable
     d = n.clades()
-    idx = CladeIndex(universe=n.leaf_universe, d=dict(d))
-    side_internal: set[NodeId] = set()
-    for c in cyc:
-        side_internal |= set(c.side_a) | set(c.side_b)
+    idx = CladeIndex(universe=n.leaf_universe, d=dict(d), cycles=cyc)
+    side_internal = {x for c in cyc for x in (*c.side_a, *c.side_b)}
 
     ones: dict[int, list[NodeId]] = {}
     for u in n.nodes():
@@ -186,9 +184,11 @@ def build_clade_index(n: Network) -> CladeIndex:
 
     if not has_degree2_node(n):
         for bits, us in idx.one_clades.items():
-            assert len(us) <= 2, (idx.labels(bits), us)
+            if len(us) > 2:
+                raise SelfCheckFailed(f"1-clade {idx.labels(bits)} on nodes {us}")
         for bits, ps in idx.two_clades.items():
-            assert len(ps) <= 1, (idx.labels(bits), ps)
+            if len(ps) > 1:
+                raise SelfCheckFailed(f"2-clade {idx.labels(bits)} on pairs {ps}")
     return idx
 
 
@@ -202,20 +202,17 @@ def two_clades(n: Network) -> dict[int, tuple[tuple[NodeId, NodeId], ...]]:
     return build_clade_index(n).two_clades
 
 
-def _rule_candidates(n: Network):
-    """Root children relevant to Rule 1 / Rule 2, with their clade queries.
+def _rule_candidates(n: Network, idx: CladeIndex):
+    """Root children relevant to Rule 1 / Rule 2, with their clade queries,
+    read from n's clade index.
 
     Yields (kind, child, queries): kind 1 when the child is a 1-clade node
     (contract if its single query is absent from the other side's clades),
     kind 2 when it is strictly inside a cycle side (contract if every 2-clade
     containing it is absent).
     """
-    d = n.clades()
-    cyc = cycles(n)
-    side_of: dict[NodeId, ReticulationCycle] = {}
-    for c in cyc:
-        for x in c.side_a + c.side_b:
-            side_of[x] = c
+    d = idx.d
+    side_of = {x: c for c in idx.cycles for x in c.side_a + c.side_b}
     for child in n.succ[n.root]:
         if child in n.leaf_label:
             continue
@@ -237,7 +234,8 @@ def apply_rules(n1: Network, n2: Network) -> tuple[Network, Network, int]:
     nowhere among the other network's 1- or 2-clades; Rule 2 does the same
     for a cycle-side child all of whose 2-clades are absent. Scheduling is
     deterministic: Rule 1 before Rule 2, network 1 before network 2,
-    candidate children in NodeId order; one contraction per round.
+    candidate children in NodeId order; one contraction per round. Each
+    round builds both clade indexes once, network 2's first.
     """
     if n1.leaf_universe != n2.leaf_universe:
         raise LeafSetMismatch(f"{n1.leaf_universe} vs {n2.leaf_universe}")
@@ -246,24 +244,22 @@ def apply_rules(n1: Network, n2: Network) -> tuple[Network, Network, int]:
     from .edit_ops import contract_admissible
 
     while True:
-        fired = False
-        for rule in (1, 2):
-            if fired:
-                break
-            for i in (0, 1):
-                if fired:
-                    break
-                other = build_clade_index(nets[1 - i])
-                known = set(other.one_clades) | set(other.two_clades)
-                for kind, child, queries in sorted(
-                    _rule_candidates(nets[i]), key=lambda t: t[1]
-                ):
-                    if kind != rule:
-                        continue
-                    if all(q not in known for q in queries):
-                        nets[i] = contract_admissible(nets[i], nets[i].root, child)
-                        count += 1
-                        fired = True
-                        break
-        if not fired:
+        other = build_clade_index(nets[1])  # network 2's error is raised first
+        idx = (build_clade_index(nets[0]), other)
+        known = [set(x.one_clades) | set(x.two_clades) for x in idx]
+        cands = [sorted(_rule_candidates(nets[i], idx[i]), key=lambda t: t[1]) for i in (0, 1)]
+        fire = next(
+            (
+                (i, child)
+                for rule in (1, 2)
+                for i in (0, 1)
+                for kind, child, queries in cands[i]
+                if kind == rule and all(q not in known[1 - i] for q in queries)
+            ),
+            None,
+        )
+        if fire is None:
             return nets[0], nets[1], count
+        i, child = fire
+        nets[i] = contract_admissible(nets[i], nets[i].root, child)
+        count += 1

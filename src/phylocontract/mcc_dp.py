@@ -21,10 +21,10 @@ Recurrences:
       side networks.
 
 Rules 1 and 2 only ask whether a clade value occurs among the other
-composition's 1- and 2-clades. Each network keeps a witness index from clade
-values to the nodes and cycle pairs carrying them; a query finds the one prime
-that can hold the value and tests those few witnesses against its reach
-bitmask, so no clade set is ever built.
+composition's 1- and 2-clades. Each network's witnesses come from its
+`galled.build_clade_index`: the mask of a value's 1-clade nodes and its one
+cycle pair. A query finds the one prime that can hold the value and tests
+those witnesses against its reach bitmask, so no clade set is ever built.
 
 Costs count contractions on both sides; the optimum then satisfies
 delta = |I1| + |I2| - 2 |I(M)|. A traceback over the memoized choices
@@ -41,7 +41,7 @@ from dataclasses import dataclass
 
 from .edit_ops import WitnessStructure, check_witness, quotient
 from .errors import Degree2Node, LeafSetMismatch, SelfCheckFailed
-from .galled import ReticulationCycle, cycles, has_degree2_node
+from .galled import CladeIndex, build_clade_index, has_degree2_node
 from .network_core import Network, NodeId, topological_order
 
 __all__ = ["solve", "solve_with_stats", "DpStats"]
@@ -58,11 +58,12 @@ class DpStats:
 
 class _NetData:
     """Static per-network tables: clades, cycles, hangs, prefix fingerprints,
-    and the witness index behind has_value."""
+    and the witnesses behind has_value, all read off the network's clade
+    index."""
 
-    def __init__(self, n: Network, cyc: list[ReticulationCycle]):
+    def __init__(self, n: Network, idx: CladeIndex):
         self.n = n
-        self.d = n.clades()
+        self.d = idx.d
         node_list = sorted(n.succ)
         self.node_bit = {u: i for i, u in enumerate(node_list)}
         self.node_of_bit = node_list
@@ -84,14 +85,13 @@ class _NetData:
                 bits |= anc[p]
             anc[u] = bits
 
-        self.cycles = cyc
+        self.cycles = idx.cycles
         self.order: list[tuple[NodeId, ...]] = []
         self.pos: list[dict[NodeId, int]] = []
         self.rooted_at: dict[NodeId, list[int]] = {}
         self.side_of: dict[NodeId, tuple[int, int, int]] = {}  # node -> (ci, side, idx)
         self.on_child: dict[tuple[int, NodeId], NodeId] = {}
         self.heads: list[tuple[NodeId, NodeId]] = []
-        self.pair_of: list[dict[int, tuple[NodeId, NodeId]]] = []
         self.hang: dict[tuple[int, NodeId], int] = {}
         self.pref: list[list[list[int]]] = []  # [ci][side] -> prefix array
         self.pref_idx: list[list[dict[int, int]]] = []
@@ -127,33 +127,26 @@ class _NetData:
                     assert arr[-1] & h == 0, "side hangs must be disjoint"
                     arr.append(arr[-1] | h)
                 prefs.append(arr)
-                idx = {v: i for i, v in enumerate(arr)}
-                assert len(idx) == len(arr), "prefix fingerprints must be distinct"
-                prefidx.append(idx)
+                at = {v: i for i, v in enumerate(arr)}
+                assert len(at) == len(arr), "prefix fingerprints must be distinct"
+                prefidx.append(at)
             self.pref.append(prefs)
             self.pref_idx.append(prefidx)
 
-            pairs: dict[int, tuple[NodeId, NodeId]] = {}
-            for x, y in c.pairs():
-                bits = self.d[x] | self.d[y]
-                assert bits not in pairs, "two-clade values must be unique"
-                pairs[bits] = (x, y)
-            self.pair_of.append(pairs)
-
-        # Witness index: one_wit maps a clade value to the mask of the nodes
-        # carrying it; two_wit maps a two-clade value to (cycle, pos x, pos y,
-        # cycle root mask) of its pair; leaf_anc maps a leaf's clade bit to
-        # the mask of its ancestors.
+        # Witnesses: one_wit maps a 1-clade value to the mask of its nodes;
+        # two_wit maps a 2-clade value to (cycle, pos x, pos y, cycle root
+        # mask) of its one pair, pos x < pos y; leaf_anc maps a leaf's clade
+        # bit to the mask of its ancestors.
         self.leaf_anc = {self.d[x]: anc[x] for x in n.leaf_label}
-        self.one_wit: dict[int, int] = {}
-        for u, i in self.node_bit.items():
-            self.one_wit[self.d[u]] = self.one_wit.get(self.d[u], 0) | 1 << i
-        self.two_wit: dict[int, list[tuple[int, int, int, int]]] = {}
-        for cj, pairs in enumerate(self.pair_of):
-            root = 1 << self.node_bit[self.croot(cj)]
-            for bits, (x, y) in pairs.items():
-                wit = (cj, self.pos[cj][x], self.pos[cj][y], root)
-                self.two_wit.setdefault(bits, []).append(wit)
+        self.one_wit = {
+            bits: sum(1 << self.node_bit[u] for u in us)
+            for bits, us in idx.one_clades.items()
+        }
+        self.two_wit: dict[int, tuple[int, int, int, int]] = {}
+        for bits, ((x, y),) in idx.two_clades.items():
+            cj = self.side_of[x if x in self.side_of else y][0]
+            px, py = sorted((self.pos[cj][x], self.pos[cj][y]))
+            self.two_wit[bits] = (cj, px, py, 1 << self.node_bit[self.cycles[cj].root])
 
         self._dec_cache: dict[NodeId, tuple] = {}
         self._path_cache: dict[tuple, tuple] = {}
@@ -178,9 +171,6 @@ class _NetData:
 
     def retic(self, ci: int) -> NodeId:
         return self.cycles[ci].reticulation
-
-    def croot(self, ci: int) -> NodeId:
-        return self.cycles[ci].root
 
     # -- key construction ----------------------------------------------------
 
@@ -279,13 +269,16 @@ class _NetData:
         Clades of materialized nodes equal their original clades; a cycle
         counts as such only if its root is inside the materialization
         (broken cycles degrade to tree parts), and a cycle top's own cycle
-        contributes only the pairs inside its window.  A side-internal node
-        of such a cycle is no 1-clade, but its clade equals its pair with
-        the reticulation, so every node in the materialization can witness
-        q.  The fresh root's own clade is deliberately left out: rule
-        blocking must only see clades witnessed below the root, else no rule
-        could ever touch a subnetwork whose value equals the whole leaf
-        set."""
+        contributes only the pairs inside its window.  The witnesses are
+        the network's 1-clade nodes and 2-clade pairs, so side-internal
+        nodes are not among the 1-clade witnesses.  That loses nothing: in
+        every materialization built here, a side-internal node either still
+        has its cycle root or lies in the window of its own cycle top, and
+        either way its pair with the reticulation, whose clade equals the
+        node's, is a 2-clade witness of q.  The fresh root's own clade is
+        deliberately left out: rule blocking must only see clades witnessed
+        below the root, else no rule could ever touch a subnetwork whose
+        value equals the whole leaf set."""
         heads, scope_of = index
         hit = self.leaf_anc[q & -q] & heads
         if not hit:
@@ -293,10 +286,11 @@ class _NetData:
         bits, own, lo, hi, _ = scope_of[hit & -hit]
         if bits & self.one_wit.get(q, 0):
             return True
-        for cj, px, py, root in self.two_wit.get(q, ()):
-            if (lo < px and py < hi) if cj == own else bits & root:
-                return True
-        return False
+        wit = self.two_wit.get(q)
+        if wit is None:
+            return False
+        cj, px, py, root = wit
+        return bool((lo < px and py < hi) if cj == own else bits & root)
 
     def _nodes_of(self, bits: int) -> list[NodeId]:
         out = []
@@ -327,12 +321,12 @@ class _Solver:
     def __init__(self, n1: Network, n2: Network):
         if n1.leaf_universe != n2.leaf_universe:
             raise LeafSetMismatch(f"{n1.leaf_universe} vs {n2.leaf_universe}")
-        cyc = []
+        idx = []
         for n in (n1, n2):
-            cyc.append(cycles(n))  # raises NotWeaklyGalled
+            idx.append(build_clade_index(n))  # raises NotWeaklyGalled
             if has_degree2_node(n):
                 raise Degree2Node(repr(n))
-        self.nd = (_NetData(n1, cyc[0]), _NetData(n2, cyc[1]))
+        self.nd = (_NetData(n1, idx[0]), _NetData(n2, idx[1]))
         self.fc_memo: dict = {}
         self.fp_memo: dict = {}
         self.fl_memo: dict = {}
@@ -535,19 +529,17 @@ class _Solver:
         p1pos = nd1.pos[ci]
         wa1 = [z for z in win1 if p1pos[z] < p1pos[t1]]
         wb1 = [z for z in win1 if p1pos[z] > p1pos[t1]]
-        win2set = set(nd2.window(cj, w, x))
-        pair_dict = nd2.pair_of[cj]
+        lo2, hi2 = nd2.pos[cj][w], nd2.pos_high(cj, x)
         for a in (*wa1, t1):
             for b in (t1, *wb1):
                 if not (p1pos[a] <= p1pos[t1] <= p1pos[b]):
                     continue
                 target = nd1.d[a] | nd1.d[b]
                 cands = []
-                got = pair_dict.get(target)
-                if got is not None:
-                    c, dd = got
-                    if (c == t2 or c in win2set) and (dd == t2 or dd in win2set):
-                        cands.append((c, dd))
+                # the pair of cycle cj inside p2's window that carries target
+                got = nd2.two_wit.get(target)
+                if got is not None and got[0] == cj and lo2 < got[1] and got[2] < hi2:
+                    cands.append((nd2.order[cj][got[1]], nd2.order[cj][got[2]]))
                 if nd2.d[t2] == target:
                     cands.append((t2, t2))
                 for c, dd in cands:
@@ -690,8 +682,8 @@ class _Solver:
 
         p1 = [set(p) for p, _ in parts]
         p2 = [set(q) for _, q in parts]
-        m, part_of1 = quotient(nd1.n, p1)
-        m2, part_of2 = quotient(nd2.n, p2)
+        m, _ = quotient(nd1.n, p1)
+        m2, _ = quotient(nd2.n, p2)
         _check_aligned(m, m2)
         k = len(parts)
         i1 = nd1.n.num_internal

@@ -255,16 +255,14 @@ def exact_mcc(
         if best is not None and key >= best[0]:
             continue
         try:
-            m, part_of = quotient(n1, [set(p) for p in parts])
+            m, _ = quotient(n1, [set(p) for p in parts])
         except PhyloError:
             continue
         w2 = _search(target, m, budget)
         if w2 is None:
             continue
-        groups: dict[NodeId, set[NodeId]] = {}
-        for x, g in part_of.items():
-            groups.setdefault(g, set()).add(x)
-        w1 = WitnessStructure({g: frozenset(s) for g, s in groups.items()})
+        # quotient numbers the parts of m by their index in parts
+        w1 = WitnessStructure({g: frozenset(p) for g, p in enumerate(parts)})
         check_witness(n1, m, w1)
         best = (key, m, w1, w2)
 
@@ -305,7 +303,9 @@ def tree_mcc(
 
     The common contraction is the tree over the clades present in both
     inputs; delta counts the internal nodes outside the shared family.
-    Inputs must be trees without internal degree-2 nodes.
+    Inputs must be trees without internal degree-2 nodes. The root is exempt
+    from that rule, so a root with a single internal child carries the full
+    clade twice; when both roots do, the common contraction keeps both.
     """
     for t in (t1, t2):
         if t.reticulations():
@@ -325,6 +325,11 @@ def tree_mcc(
     k = len(shared)
     host1, above = _shared_hosts(t1, d1, index)
     host2, _ = _shared_hosts(t2, d2, index)
+    if all(len(t.succ[t.root]) == 1 and t.num_internal > 1 for t in (t1, t2)):
+        # both roots have one internal child: a fresh root part above it
+        host1[t1.root] = host2[t2.root] = k
+        above[k - 1] = k
+        k += 1
     succ: dict[NodeId, set[NodeId]] = {i: set() for i in range(k)}
     for i, parent in above.items():
         succ[parent].add(i)
@@ -335,7 +340,7 @@ def tree_mcc(
         succ[leaf] = set()
         succ[host1[by_label[lbl]]].add(leaf)
         leaf_label[leaf] = lbl
-    # The full leaf set is shared by both roots and sorts last.
+    # The root's part is the last: the full leaf set sorts last, a fresh root after it.
     m = Network(succ, leaf_label, root=k - 1)
 
     def witness(t: Network, host: dict[NodeId, int]) -> WitnessStructure:

@@ -289,6 +289,18 @@ def test_dist_upper_without_delta_on_non_wgt(files, capsys):
     assert "weakly galled" in err
 
 
+def test_dist_upper_names_degree2_reason(files, capsys):
+    # weakly galled, but with internal degree-2 nodes the DP does not apply
+    unary = files("u.nwk", "(((1)),2,3);")
+    star = files("s.nwk", "(1,2,3);")
+    code, out, err = run(capsys, ["dist", "upper", unary, star])
+    assert (code, out, err) == (
+        0,
+        "upper=2\n",
+        "delta requires inputs without internal degree-2 nodes\n",
+    )
+
+
 # -- gen ----------------------------------------------------------------------------
 
 

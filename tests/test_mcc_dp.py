@@ -411,6 +411,32 @@ def test_edit_ops_argument_checks_survive_python_O():
     ]
 
 
+CLADE_INDEX_CHECK_SCRIPT = """
+import sys
+import phylocontract.galled as galled
+from phylocontract import parse_enewick, solve
+from phylocontract.errors import SelfCheckFailed
+
+print(f"optimize={sys.flags.optimize}")
+pairs = galled.ReticulationCycle.pairs
+# a second pair carrying the cycle's whole clade: its root with its reticulation
+galled.ReticulationCycle.pairs = lambda c: [*pairs(c), (c.root, c.reticulation)]
+g1 = parse_enewick("(((1)#H1,2),(#H1,3));")
+for f in (galled.build_clade_index, lambda n: solve(n, n)):
+    try:
+        print("returned", f(g1))
+    except SelfCheckFailed as exc:
+        print(type(exc).__name__, exc)
+"""
+
+
+def test_clade_index_unicity_checks_survive_python_O():
+    # The DP keeps one pair per 2-clade value, taken from the clade index;
+    # a value on two pairs must be refused, not silently dropped.
+    violation = "SelfCheckFailed 2-clade ('1', '2', '3') on pairs ((1, 6), (3, 5))"
+    assert _run_optimized(CLADE_INDEX_CHECK_SCRIPT) == ["optimize=1", violation, violation]
+
+
 # -- explicit evaluation stack ----------------------------------------------------
 
 

@@ -19,6 +19,7 @@ from phylocontract import (
     quotient,
     reduction_deg_bounded,
     reduction_five_leaves,
+    solve,
     tree_mcc,
     validate_witness,
     write_enewick,
@@ -145,6 +146,26 @@ def test_tree_mcc_shared_clade_formula():
     b = parse_enewick("(((1,2),(3,4)),5);")
     # shared internal clades: {1,2}, {1,2,3,4} and the root
     assert tree_mcc(a, b)[0] == 4 + 4 - 2 * 3
+
+
+@pytest.mark.parametrize(
+    "a,b,want",
+    [
+        ("((1,2,3));", "((1,2,3));", 0),
+        ("((1,(2,3)));", "((1,2,3));", 1),
+        ("((1,2,3));", "((1,(2,3)));", 1),
+        ("(((1,2),3));", "((1,(2,3)));", 2),
+        ("((1,2,3));", "(1,(2,3));", 2),
+    ],
+)
+def test_tree_mcc_keeps_both_single_child_roots(a, b, want):
+    # The root is exempt from the degree-2 rule, so a root with one internal
+    # child carries the full clade twice; two such roots share both nodes.
+    t1, t2 = parse_enewick(a), parse_enewick(b)
+    delta, m, w1, w2 = tree_mcc(t1, t2)
+    assert delta == want == exact_mcc(t1, t2)[0] == solve(t1, t2)[0]
+    assert validate_witness(t1, m, w1)[0]
+    assert validate_witness(t2, m, w2)[0]
 
 
 def test_tree_mcc_rejects_networks_and_degree2(g1):
