@@ -344,9 +344,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.func(args)
     except RecursionError:
-        # The eNewick parser still recurses once per nesting level, and so
-        # can the oracle at a huge --max-internal; past Python's limit the
-        # input is refused.
+        # Only the eNewick parser still recurses, once per nesting level;
+        # past Python's limit the input is refused.
         error: PhyloError = NestingTooDeep("input is nested too deeply to process")
     except MemoryError:
         # A large input can exhaust memory (the DP's node-indexed bitmasks

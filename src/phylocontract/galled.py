@@ -74,6 +74,7 @@ class CladeIndex:
     universe: tuple[str, ...]
     d: dict[NodeId, int]
     cycles: list[ReticulationCycle]
+    has_degree2: bool  # an internal non-root node with one parent and one child
     one_clades: dict[int, tuple[NodeId, ...]] = field(default_factory=dict)
     two_clades: dict[int, tuple[tuple[NodeId, NodeId], ...]] = field(default_factory=dict)
 
@@ -167,7 +168,9 @@ def build_clade_index(n: Network) -> CladeIndex:
     """
     cyc = cycles(n)  # raises NotWeaklyGalled when inapplicable
     d = n.clades()
-    idx = CladeIndex(universe=n.leaf_universe, d=dict(d), cycles=cyc)
+    idx = CladeIndex(
+        universe=n.leaf_universe, d=dict(d), cycles=cyc, has_degree2=has_degree2_node(n)
+    )
     side_internal = {x for c in cyc for x in (*c.side_a, *c.side_b)}
 
     ones: dict[int, list[NodeId]] = {}
@@ -182,7 +185,7 @@ def build_clade_index(n: Network) -> CladeIndex:
             twos.setdefault(d[x] | d[y], []).append(tuple(sorted((x, y))))
     idx.two_clades = {bits: tuple(sorted(set(ps))) for bits, ps in twos.items()}
 
-    if not has_degree2_node(n):
+    if not idx.has_degree2:
         for bits, us in idx.one_clades.items():
             if len(us) > 2:
                 raise SelfCheckFailed(f"1-clade {idx.labels(bits)} on nodes {us}")

@@ -32,7 +32,8 @@ rebuilds the witness partitions and the common contraction itself.
 
 Evaluation and traceback run on explicit stacks: each recurrence is a
 generator that yields the sub-entries it needs to one memo driver, so
-neither depends on Python's recursion limit.
+neither depends on Python's recursion limit. Of the whole package, only the
+eNewick parser can still end in `NestingTooDeep`.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ from dataclasses import dataclass
 
 from .edit_ops import WitnessStructure, check_witness, quotient
 from .errors import Degree2Node, LeafSetMismatch, SelfCheckFailed
-from .galled import CladeIndex, build_clade_index, has_degree2_node
+from .galled import CladeIndex, build_clade_index
 from .network_core import Network, NodeId, topological_order
 
 __all__ = ["solve", "solve_with_stats", "DpStats"]
@@ -324,7 +325,7 @@ class _Solver:
         idx = []
         for n in (n1, n2):
             idx.append(build_clade_index(n))  # raises NotWeaklyGalled
-            if has_degree2_node(n):
+            if idx[-1].has_degree2:
                 raise Degree2Node(repr(n))
         self.nd = (_NetData(n1, idx[0]), _NetData(n2, idx[1]))
         self.fc_memo: dict = {}

@@ -7,13 +7,18 @@ contraction of the second network. `is_contraction` decides the single-pair
 question by backtracking over part assignments.
 
 `is_contraction` is one preparation of its first network (`_prepare`) and
-one search (`_search`). `exact_mcc` prepares the second network once and
-skips, before building its quotient, every partition the search would
-refuse before its first step (`_prefilter`): too many parts, or leaves that
-share a parent in the second network but whose parents in the first lie in
-different parts (the second root maps to the part of the first). The
-enumeration, the tie-break, the results and every `--budget` count are
-those of quotienting and searching each partition. `tree_mcc` finds each node's minimal shared clade in one top-down pass.
+one search (`_search`), a backtracking on one explicit stack. Partitions
+are enumerated as integer masks over the internal nodes in sorted order
+(`_partition_masks`), also on one explicit stack; `connected_partitions`
+decodes them into frozensets. `exact_mcc` prepares the second network once
+and skips, on the masks alone, every partition with fewer parts than the
+best so far and every partition the search would refuse before its first
+step (`_prefilter`): too many parts, or leaves that share a parent in the
+second network but whose parents in the first lie in different parts (the
+second root maps to the part of the first). The enumeration, the
+tie-break, the results and every `--budget` count are those of quotienting
+and searching each partition. No function here recurses. `tree_mcc` finds
+each node's minimal shared clade in one top-down pass.
 """
 
 from __future__ import annotations
@@ -35,81 +40,123 @@ from .network_core import Network, NodeId, topological_order
 __all__ = ["is_contraction", "exact_mcc", "tree_mcc", "connected_partitions"]
 
 
-def _internal_neighbors(n: Network) -> dict[NodeId, set[NodeId]]:
-    internal = set(n.internal_nodes())
-    nbrs: dict[NodeId, set[NodeId]] = {u: set() for u in internal}
+def _node_bits(n: Network) -> dict[NodeId, int]:
+    """Each internal node's bit: bit i is the i-th node of I(n) in sorted
+    order, so a mask's lowest bit is its least node."""
+    return {u: 1 << i for i, u in enumerate(sorted(n.internal_nodes()))}
+
+
+def _node_masks(n: Network) -> tuple[list[NodeId], dict[int, int]]:
+    """I(n) in sorted order and each node's bit mapped to the mask of its
+    internal neighbours."""
+    bit = _node_bits(n)
+    nbr = dict.fromkeys(bit.values(), 0)
     for u, v in n.edges():
-        if u in internal and v in internal:
-            nbrs[u].add(v)
-            nbrs[v].add(u)
-    return nbrs
+        if u in bit and v in bit:
+            nbr[bit[u]] |= bit[v]
+            nbr[bit[v]] |= bit[u]
+    return list(bit), nbr
 
 
-def _connected_subsets(nbrs, seed, allowed, tick):
-    """Each connected subset of `allowed` containing `seed`, exactly once.
+def _partition_masks(nbr: dict[int, int], budget: int | None):
+    """Each partition of the nodes in `nbr` into connected parts, exactly
+    once, as a tuple of part masks.
 
-    A node skipped at some level stays excluded in the entire remaining
-    branch; the ban set travels down the recursion, otherwise a set can be
-    re-reached around a cycle and emitted twice."""
+    One level per part: its seed is the lowest node left, and a depth-first
+    search over frames (sub, pool, rest, banned) grows the seed into every
+    connected subset of the nodes left. A frame tries the nodes of `pool` in
+    ascending order, `rest` being those not yet tried; a node tried at some
+    frame stays banned in the branches of its later siblings, otherwise a
+    set could be re-reached around a cycle and emitted twice. Each subset
+    costs one step against `budget`, taken when it is reached.
+    """
+    steps = 0
+    remaining = sum(nbr)  # every node's bit
+    levels: list[tuple[int, list[list[int]]]] = []  # (nodes left, frames)
+    parts: list[int] = []
+    while True:
+        if remaining:
+            # A new level, seeded by the lowest node left.
+            seed = remaining & -remaining
+            pool = nbr[seed] & remaining
+            levels.append((remaining, [[seed, pool, pool, 0]]))
+            parts.append(seed)
+            remaining ^= seed
+        else:
+            yield tuple(parts)
+            # Grow the deepest level's next subset; drop the levels that have none.
+            while True:
+                if not levels:
+                    return
+                left, frames = levels[-1]
+                frame = frames[-1]
+                sub, pool, rest, banned = frame
+                if rest:
+                    break
+                frames.pop()
+                if not frames:
+                    levels.pop()
+                    parts.pop()
+            v = rest & -rest
+            frame[2] = rest ^ v
+            dropped = banned | (pool ^ rest)
+            grown = sub | v
+            grown_pool = (pool | (nbr[v] & left)) & ~(grown | dropped)
+            frames.append([grown, grown_pool, grown_pool, dropped])
+            parts[-1] = grown
+            remaining = left & ~grown
+        steps += 1
+        if budget is not None and steps > budget:
+            raise BudgetExhausted(f"partition enumeration exceeded {budget} steps")
 
-    def rec(sub: frozenset, pool: frozenset, banned: frozenset):
-        tick()
-        yield sub
-        dropped: set[NodeId] = set(banned)
-        for v in sorted(pool):
-            grown = sub | {v}
-            new_pool = (pool | (nbrs[v] & allowed)) - grown - dropped
-            yield from rec(grown, frozenset(new_pool), frozenset(dropped))
-            dropped.add(v)
 
-    start = frozenset({seed})
-    yield from rec(start, frozenset(nbrs[seed] & allowed), frozenset())
+def _decode(nodes: list[NodeId], mask: int) -> tuple[NodeId, ...]:
+    """The nodes of a part mask, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(nodes[low.bit_length() - 1])
+        mask ^= low
+    return tuple(out)
 
 
 def connected_partitions(n: Network, budget: int | None = None):
     """All partitions of I(n) into weakly connected parts, each exactly once.
 
     Parts are discovered in order of their minimum node, so the emitted
-    sequence is deterministic. `budget` caps enumeration steps.
+    sequence is deterministic. `budget` caps enumeration steps, one per
+    connected subset reached.
     """
-    nbrs = _internal_neighbors(n)
-    steps = 0
-
-    def tick():
-        nonlocal steps
-        steps += 1
-        if budget is not None and steps > budget:
-            raise BudgetExhausted(f"partition enumeration exceeded {budget} steps")
-
-    def rec(remaining: frozenset):
-        if not remaining:
-            yield []
-            return
-        seed = min(remaining)
-        allowed = remaining - {seed}
-        for part in _connected_subsets(nbrs, seed, allowed, tick):
-            rest = remaining - part
-            for tail in rec(rest):
-                yield [part, *tail]
-
-    yield from rec(frozenset(nbrs))
+    nodes, nbr = _node_masks(n)
+    frozen: dict[int, frozenset[NodeId]] = {}
+    for parts in _partition_masks(nbr, budget):
+        for p in parts:
+            if p not in frozen:
+                frozen[p] = frozenset(_decode(nodes, p))
+        yield [frozen[p] for p in parts]
 
 
 class _Target(NamedTuple):
     """The half of `is_contraction` that depends on n alone: n, its internal
-    nodes in topological order, its clades and each leaf's parent by label."""
+    nodes in topological order, their clades and the positions of their
+    parents in that order, and each leaf's parent by label."""
 
     n: Network
     internal: list[NodeId]
-    clades: dict[NodeId, int]
+    clades: list[int]
+    parents: list[tuple[int, ...]]
     leaf_parent: dict[str, NodeId]
 
 
 def _prepare(n: Network) -> _Target:
+    internal = [u for u in topological_order(n) if u not in n.leaf_label]
+    at = {u: i for i, u in enumerate(internal)}
+    d = n.clades()
     return _Target(
         n,
-        [u for u in topological_order(n) if u not in n.leaf_label],
-        n.clades(),
+        internal,
+        [d[u] for u in internal],
+        [tuple(at[p] for p in n.pred[u]) for u in internal],
         {lab: n.pred[u][0] for u, lab in n.leaf_label.items()},
     )
 
@@ -118,7 +165,7 @@ def _search(
     target: _Target, m: Network, budget: int | None = None
 ) -> WitnessStructure | None:
     """`is_contraction` against a prepared n."""
-    n, internal_n, dn = target.n, target.internal, target.clades
+    n, internal_n = target.n, target.internal
     if n.leaf_universe != m.leaf_universe:
         raise LeafSetMismatch(f"{n.leaf_universe} vs {m.leaf_universe}")
     internal_m = set(m.internal_nodes())
@@ -137,49 +184,43 @@ def _search(
             return None
         forced[pn] = pm
 
-    assign: dict[NodeId, NodeId] = {}
+    # Level i assigns internal_n[i]; its parents sit at earlier levels.
+    every = tuple(sorted(internal_m))
+    cands = [(forced[x],) if x in forced else every for x in internal_n]
+    dn, parents = target.clades, target.parents
+    k = len(internal_n)
+    chosen: list[NodeId] = [0] * k
+    cursor = [0] * k
     steps = 0
-
-    def candidates(x: NodeId):
-        if x in forced:
-            return (forced[x],)
-        return tuple(sorted(internal_m))
-
-    def ok(x: NodeId, part: NodeId) -> bool:
-        if not (dn[x] & ~dm[part] == 0):
-            return False
-        for p in n.pred[x]:
-            if p in assign:
-                q = assign[p]
-                if q != part and (q, part) not in m_edges:
-                    return False
-        return True
-
-    def rec(i: int) -> WitnessStructure | None:
-        nonlocal steps
-        if i == len(internal_n):
+    i = 0
+    while i >= 0:
+        if i == k:
             parts: dict[NodeId, set[NodeId]] = {u: set() for u in internal_m}
-            for x, part in assign.items():
+            for x, part in zip(internal_n, chosen):
                 parts[part].add(x)
-            w = WitnessStructure(
-                {u: frozenset(p) for u, p in parts.items()}
-            )
-            valid, _ = validate_witness(n, m, w)
-            return w if valid else None
-        x = internal_n[i]
-        for part in candidates(x):
-            steps += 1
-            if budget is not None and steps > budget:
-                raise BudgetExhausted(f"assignment search exceeded {budget} steps")
-            if ok(x, part):
-                assign[x] = part
-                got = rec(i + 1)
-                if got is not None:
-                    return got
-                del assign[x]
-        return None
-
-    return rec(0)
+            w = WitnessStructure({u: frozenset(p) for u, p in parts.items()})
+            if validate_witness(n, m, w)[0]:
+                return w
+            i -= 1
+            continue
+        j = cursor[i]
+        if j == len(cands[i]):
+            cursor[i] = 0
+            i -= 1
+            continue
+        cursor[i] = j + 1
+        part = cands[i][j]
+        steps += 1
+        if budget is not None and steps > budget:
+            raise BudgetExhausted(f"assignment search exceeded {budget} steps")
+        if dn[i] & ~dm[part]:
+            continue
+        if all(
+            q == part or (q, part) in m_edges for q in (chosen[p] for p in parents[i])
+        ):
+            chosen[i] = part
+            i += 1
+    return None
 
 
 def is_contraction(
@@ -189,15 +230,16 @@ def is_contraction(
 
     Backtracking assignment of I(n) to I(m) in topological order: leaf
     parents are forced by label, the root maps to the root, clades must
-    nest, and every already-assigned in-neighbor must land on the same part
-    or along an edge of m.
+    nest, and every in-neighbor, assigned at an earlier level, must land on
+    the same part or along an edge of m.
     """
     return _search(_prepare(n), m, budget)
 
 
 def _prefilter(n1: Network, target: _Target):
-    """Predicate on partitions of I(n1): does `_search(target, ...)` refuse
-    the partition's quotient before its first step?
+    """Predicate on partitions of I(n1), given as part masks over
+    `_node_bits(n1)`: does `_search(target, ...)` refuse the partition's
+    quotient before its first step?
 
     It does when the quotient has more internal nodes than the target, or
     when the map it forces from the target onto the quotient is not a
@@ -208,16 +250,18 @@ def _prefilter(n1: Network, target: _Target):
     the target. On partitions whose quotient is invalid the answer does not
     matter: `exact_mcc` skips those either way.
     """
-    by_target: dict[NodeId, set[NodeId]] = {target.n.root: {n1.root}}
+    bit = _node_bits(n1)
+    by_target: dict[NodeId, int] = {target.n.root: bit[n1.root]}
     for leaf, lab in n1.leaf_label.items():
-        by_target.setdefault(target.leaf_parent[lab], set()).add(n1.pred[leaf][0])
-    groups = [frozenset(g) for g in by_target.values() if len(g) > 1]
+        p = target.leaf_parent[lab]
+        by_target[p] = by_target.get(p, 0) | bit[n1.pred[leaf][0]]
+    groups = [g for g in by_target.values() if g & (g - 1)]
     limit = len(target.internal)
 
-    def doomed(parts) -> bool:
+    def doomed(parts: tuple[int, ...]) -> bool:
         if len(parts) > limit:
             return True
-        return any(g & part and not g <= part for g in groups for part in parts)
+        return any(g & p and g & ~p for g in groups for p in parts)
 
     return doomed
 
@@ -246,25 +290,29 @@ def exact_mcc(
 
     target = _prepare(n2)
     doomed = _prefilter(n1, target)
-    best = None  # (-(num parts), canon, m, w1, w2)
-    for parts in connected_partitions(n1, budget=budget):
-        if doomed(parts):
+    nodes, nbr = _node_masks(n1)
+    best = None  # (key, m, w1, w2), key = (-(number of parts), canon)
+    most = 0  # the number of parts of the best
+    for masks in _partition_masks(nbr, budget):
+        # Fewer parts than the best make a larger key, which cannot win.
+        if len(masks) < most or doomed(masks):
             continue
-        canon = tuple(sorted(tuple(sorted(p)) for p in parts))
-        key = (-len(parts), canon)
+        # Parts come in order of their least node, so canon is sorted.
+        canon = tuple(_decode(nodes, p) for p in masks)
+        key = (-len(masks), canon)
         if best is not None and key >= best[0]:
             continue
         try:
-            m, _ = quotient(n1, [set(p) for p in parts])
+            m, _ = quotient(n1, canon)
         except PhyloError:
             continue
         w2 = _search(target, m, budget)
         if w2 is None:
             continue
         # quotient numbers the parts of m by their index in parts
-        w1 = WitnessStructure({g: frozenset(p) for g, p in enumerate(parts)})
+        w1 = WitnessStructure({g: frozenset(p) for g, p in enumerate(canon)})
         check_witness(n1, m, w1)
-        best = (key, m, w1, w2)
+        best, most = (key, m, w1, w2), len(masks)
 
     if best is None:
         # The one-part partition quotients to a star, a contraction of n2.

@@ -80,3 +80,17 @@ def perturb(n, k: int, seed: int):
         if not done:
             break
     return n
+
+
+def caterpillar_edgelist(leaves: int) -> str:
+    """Edge list of a caterpillar: a chain of leaves - 1 internal nodes, one
+    leaf per level and two at the bottom."""
+    lines = []
+    for i in range(leaves - 1):
+        if i < leaves - 2:
+            lines.append(f"i{i} i{i + 1}")
+        lines.append(f"i{i} l{i}")
+    lines.append(f"i{leaves - 2} l{leaves - 1}")
+    lines.append("#leaves")
+    lines.extend(f"l{i} x{i}" for i in range(leaves))
+    return "\n".join(lines) + "\n"

@@ -9,7 +9,8 @@ from pathlib import Path
 
 import pytest
 
-from conftest import gen_wgt, perturb
+from conftest import caterpillar_edgelist, gen_wgt, perturb
+from phylocontract import galled, mcc_dp
 from phylocontract.cli import _witness_json
 from phylocontract.edit_ops import validate_witness
 from phylocontract.errors import Degree2Node, LeafSetMismatch, NotWeaklyGalled
@@ -87,6 +88,29 @@ def test_degree2_input_rejected(t3a):
         solve(unary, t3a)
     with pytest.raises(Degree2Node):
         solve(t3a, unary)
+
+
+def test_each_network_is_checked_once_in_order(fixture_dir, monkeypatch):
+    # Network 1 is refused before network 2 is looked at, and each network's
+    # degree-2 test runs once, inside its clade index.
+    ladder = parse_enewick((fixture_dir / "ladder.nwk").read_text())
+    unary = parse_enewick("((((1,2)),3),4);")
+    with pytest.raises(Degree2Node):
+        solve(unary, ladder)
+    with pytest.raises(NotWeaklyGalled):
+        solve(ladder, unary)
+    calls = []
+    real = galled.has_degree2_node
+
+    def counted(n):
+        calls.append(n)
+        return real(n)
+
+    for module in (galled, mcc_dp):  # wherever the solver might look it up
+        monkeypatch.setattr(module, "has_degree2_node", counted, raising=False)
+    t = parse_enewick("((1,2),3);")
+    solve(t, t)
+    assert len(calls) == 2
 
 
 # -- agreement with the exponential oracle -------------------------------------
@@ -440,20 +464,6 @@ def test_clade_index_unicity_checks_survive_python_O():
 # -- explicit evaluation stack ----------------------------------------------------
 
 
-def _caterpillar_edgelist(leaves: int) -> str:
-    """Edge list of a caterpillar: a chain of leaves - 1 internal nodes, one
-    leaf per level and two at the bottom."""
-    lines = []
-    for i in range(leaves - 1):
-        if i < leaves - 2:
-            lines.append(f"i{i} i{i + 1}")
-        lines.append(f"i{i} l{i}")
-    lines.append(f"i{leaves - 2} l{leaves - 1}")
-    lines.append("#leaves")
-    lines.extend(f"l{i} x{i}" for i in range(leaves))
-    return "\n".join(lines) + "\n"
-
-
 def test_solve_leaves_the_recursion_limit_alone(monkeypatch):
     # 3000 levels is three times Python's default recursion limit; the DP
     # and its traceback must neither recurse per level nor raise the limit.
@@ -461,7 +471,7 @@ def test_solve_leaves_the_recursion_limit_alone(monkeypatch):
         raise AssertionError(f"setrecursionlimit({limit}) called")
 
     monkeypatch.setattr(sys, "setrecursionlimit", refuse)
-    n = parse_edgelist(_caterpillar_edgelist(3000))
+    n = parse_edgelist(caterpillar_edgelist(3000))
     delta, m, w1, w2 = solve(n, n)
     assert (delta, m.num_internal) == (0, 2999)
     assert w1 == w2
@@ -471,7 +481,7 @@ def test_cli_solves_20000_leaf_caterpillar(tmp_path):
     # Deep enough that a recursive evaluation overflows the C stack even
     # with a raised recursion limit.
     path = tmp_path / "c.edges"
-    path.write_text(_caterpillar_edgelist(20000), encoding="utf-8")
+    path.write_text(caterpillar_edgelist(20000), encoding="utf-8")
     argv = [sys.executable, "-m", "phylocontract", "--format", "edgelist"]
     proc = subprocess.run(
         [*argv, "mcc", "wgt", str(path), str(path)],

@@ -6,15 +6,19 @@ import functools
 import hashlib
 import itertools
 import json
+import sys
+from contextlib import nullcontext
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from phylocontract import (
+    diameter_pair,
     exact_mcc,
     is_contraction,
     is_isomorphic,
+    parse_edgelist,
     parse_enewick,
     quotient,
     reduction_deg_bounded,
@@ -24,7 +28,7 @@ from phylocontract import (
     validate_witness,
     write_enewick,
 )
-from phylocontract import mcc_oracle
+from phylocontract import cli, mcc_oracle
 from phylocontract.cli import _witness_json
 from phylocontract.errors import (
     BudgetExhausted,
@@ -36,7 +40,7 @@ from phylocontract.errors import (
 )
 from phylocontract.generators import SetSplittingInstance, SplitMix64
 from phylocontract.mcc_oracle import connected_partitions
-from tests.conftest import gen_wgt, perturb
+from tests.conftest import caterpillar_edgelist, gen_wgt, perturb
 
 
 def set_partitions(items):
@@ -101,6 +105,79 @@ def test_partition_budget_raises():
     n = parse_enewick("(((((1,2),3),4),5),6);")
     with pytest.raises(BudgetExhausted):
         list(connected_partitions(n, budget=3))
+
+
+def reference_partitions(n, tick):
+    """The recursive frozenset enumerator `connected_partitions` replaced,
+    with its budget check left to `tick`, called once per step."""
+    internal = set(n.internal_nodes())
+    nbrs = {u: set() for u in internal}
+    for u, v in n.edges():
+        if u in internal and v in internal:
+            nbrs[u].add(v)
+            nbrs[v].add(u)
+
+    def subsets(seed, allowed):
+        def rec(sub, pool, banned):
+            tick()
+            yield sub
+            dropped = set(banned)
+            for v in sorted(pool):
+                grown = sub | {v}
+                new_pool = (pool | (nbrs[v] & allowed)) - grown - dropped
+                yield from rec(grown, frozenset(new_pool), frozenset(dropped))
+                dropped.add(v)
+
+        yield from rec(frozenset({seed}), frozenset(nbrs[seed] & allowed), frozenset())
+
+    def rec(remaining):
+        if not remaining:
+            yield []
+            return
+        seed = min(remaining)
+        for part in subsets(seed, remaining - {seed}):
+            for tail in rec(remaining - part):
+                yield [part, *tail]
+
+    yield from rec(frozenset(nbrs))
+
+
+def _enumeration_networks():
+    """Seeded weakly galled trees with cycles and at most 9 internal nodes,
+    both Set Splitting reductions, and the 4-5 leaf diameter pairs."""
+    nets = []
+    rng = SplitMix64(9009)
+    while len(nets) < 8:
+        n = gen_wgt(rng.randint(4, 7), rng.randint(1, 2), rng.randrange(1 << 30))
+        if n.num_internal <= 9:
+            nets.append(n)
+    inst = SetSplittingInstance(("a",), (frozenset("a"),))
+    for build in (reduction_deg_bounded, reduction_five_leaves):
+        nets.extend(build(inst)[:2])
+    for leaves, m, mprime in itertools.product((4, 5), range(2, 8), range(2, 8)):
+        nets.extend(diameter_pair(leaves, m, mprime))
+    unique = {write_enewick(n): n for n in nets}
+    return list(unique.values())
+
+
+def test_partition_order_and_budget_cuts_match_the_recursive_enumerator():
+    for n in _enumeration_networks():
+        # One run of the reference records where each step falls between
+        # the partitions it yields; a budget of b cuts at step b + 1.
+        events = []
+        want = []
+        for parts in reference_partitions(n, lambda: events.append(len(want))):
+            want.append(parts)
+        assert list(connected_partitions(n)) == want
+        for budget in range(len(events) + 1):
+            got = []
+            message = f"^partition enumeration exceeded {budget} steps$"
+            cut_short = pytest.raises(BudgetExhausted, match=message)
+            with cut_short if budget < len(events) else nullcontext():
+                for parts in connected_partitions(n, budget):
+                    got.append(parts)
+            cut = events[budget] if budget < len(events) else len(want)
+            assert got == want[:cut], (write_enewick(n), budget)
 
 
 def test_exact_mcc_fixture_values(t3a, t3b, g1, star3):
@@ -193,6 +270,28 @@ def test_is_contraction_of_relabeled_target(t3a):
         is_contraction(t3a, renamed)
 
 
+def test_oracle_leaves_the_recursion_limit_alone(monkeypatch, tmp_path, capsys):
+    # 1500 levels pass Python's default recursion limit; neither the search
+    # nor the enumeration may recurse per level or raise the limit.
+    def refuse(limit):
+        raise AssertionError(f"setrecursionlimit({limit}) called")
+
+    monkeypatch.setattr(sys, "setrecursionlimit", refuse)
+    text = caterpillar_edgelist(1500)
+    n = parse_edgelist(text)
+    w = is_contraction(n, n)
+    assert w is not None and validate_witness(n, n, w)[0]
+    with pytest.raises(BudgetExhausted):
+        exact_mcc(n, n, max_internal=5000, budget=10_000)
+    path = tmp_path / "c.edges"
+    path.write_text(text, encoding="utf-8")
+    argv = ["--format", "edgelist", "mcc", "exact", str(path), str(path)]
+    code = cli.main([*argv, "--max-internal", "5000", "--budget", "10000"])
+    out, err = capsys.readouterr()
+    assert (code, out) == (2, "")
+    assert err.startswith("error: BudgetExhausted:")
+
+
 @settings(max_examples=20, deadline=None)
 @given(st.integers(0, 10_000))
 def test_exact_mcc_common_is_contraction_of_both(seed):
@@ -282,6 +381,12 @@ def test_exact_mcc_output_and_budget_outcomes_are_pinned():
     assert _digest(_oracle_outcomes()) == EXACT_MCC_DIGEST
 
 
+def _part_masks(n, parts) -> tuple[int, ...]:
+    """A partition of I(n) as the part masks `_prefilter` takes."""
+    bit = mcc_oracle._node_bits(n)
+    return tuple(sum(bit[u] for u in p) for p in parts)
+
+
 def test_prefilter_refuses_exactly_the_pre_search_refusals():
     # On every connected partition with a valid quotient, the prefilter
     # refuses iff is_contraction returns None before its first step (a
@@ -298,7 +403,7 @@ def test_prefilter_refuses_exactly_the_pre_search_refusals():
                 pre_search = is_contraction(n2, m, budget=0) is None
             except BudgetExhausted:
                 pre_search = False
-            assert doomed(parts) == pre_search, (write_enewick(n1), write_enewick(n2), parts)
+            assert doomed(_part_masks(n1, parts)) == pre_search, (write_enewick(n1), write_enewick(n2), parts)
             refused += pre_search
             kept += not pre_search
     assert refused > kept > 0
@@ -346,8 +451,30 @@ def test_one_prepared_target_serves_many_searches():
     assert _digest(fresh) == CONTRACTION_DIGEST
 
 
+SEARCH_BUDGETS = (*range(41), None)
+
+
+def test_search_step_counts_are_pinned():
+    # Where the search's budget cuts: per case and budget, the witness, None,
+    # or the budget error. One step is one candidate part tried for one node.
+    lines = []
+    for i, (n, targets) in enumerate(_contraction_cases()):
+        for j, m in enumerate(targets):
+            for budget in SEARCH_BUDGETS:
+                try:
+                    w = is_contraction(n, m, budget)
+                except BudgetExhausted as exc:
+                    got = f"BudgetExhausted {exc}"
+                else:
+                    got = None if w is None else json.dumps(_witness_json(w))
+                lines.append(f"{i} {j} {budget} {got}")
+    assert _digest(lines) == SEARCH_STEPS_DIGEST
+
+
 # Recorded before the prepared target, the prefilter and the one-pass
 # tree_mcc hosts; the outputs must stay byte-identical.
 TREE_MCC_DIGEST = "ebbb3ea020656c8b8c66c98233482450a8b5911e04a5672ff23f2a91ef2426e2"
 EXACT_MCC_DIGEST = "38ac16a62a4b141a5b78761154a789b812a0ac96b2abe0b5684a8e3825ec2431"
 CONTRACTION_DIGEST = "1fe00f73d69f86ebd020589ac99ed7530c2910f6d4803ec2ec014fafc0d9657f"
+# Recorded before the search ran on an explicit stack.
+SEARCH_STEPS_DIGEST = "1880297cf895b1529fb7733ae8208981355e05decea68f5f2676f038778a09ca"
