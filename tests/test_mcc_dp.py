@@ -15,7 +15,7 @@ from phylocontract.cli import _witness_json
 from phylocontract.edit_ops import validate_witness
 from phylocontract.errors import Degree2Node, LeafSetMismatch, NotWeaklyGalled
 from phylocontract.galled import is_weakly_galled
-from phylocontract.generators import SplitMix64
+from phylocontract.generators import SplitMix64, diameter_pair
 from phylocontract.io_enewick import parse_edgelist, parse_enewick, write_enewick
 from phylocontract.mcc_dp import _Solver, solve, solve_with_stats
 from phylocontract.mcc_oracle import exact_mcc, is_contraction
@@ -248,6 +248,45 @@ def test_frozen_mid_size_pairs(spec, want):
         _digest(witness),
     )
     assert got == want
+
+
+# -- output digest ----------------------------------------------------------------
+
+
+def _digest_pairs():
+    """Seeded pairs of every shape the DP distinguishes: k-contracted copies
+    of networks with cycles, independent networks, diameter pairs and deep
+    caterpillars against contracted copies."""
+    rng = SplitMix64(1109)
+    for _ in range(60):
+        n = gen_wgt(rng.randint(6, 150), rng.randint(1, 7), rng.randrange(1 << 30))
+        yield n, perturb(n, rng.randint(1, 6), rng.randrange(1 << 30))
+    for _ in range(20):
+        leaves, retics = rng.randint(10, 40), rng.randint(0, 4)
+        yield (
+            gen_wgt(leaves, retics, rng.randrange(1 << 30)),
+            gen_wgt(leaves, retics, rng.randrange(1 << 30)),
+        )
+    for leaves in (4, 5, 7):
+        for m in range(2, 8):
+            for mp in range(2, 8):
+                if (leaves, m, mp) != (4, 6, 6):  # the one ladder pair
+                    yield diameter_pair(leaves, m, mp)
+    for leaves in (30, 60, 120):
+        n = parse_edgelist(caterpillar_edgelist(leaves))
+        yield n, perturb(n, leaves // 10, leaves)
+
+
+def test_output_digest_is_frozen():
+    # One SHA-256 over delta, the emitted common contraction and the witness
+    # JSON of every pair above, recorded before the DP's evaluation order was
+    # pruned: pruning may shrink the memo tables but must not change a byte.
+    h = hashlib.sha256()
+    for n1, n2 in _digest_pairs():
+        delta, m, w1, w2 = solve(n1, n2)
+        witness = json.dumps([_witness_json(w1), _witness_json(w2)], indent=2)
+        h.update(f"{delta}\n{write_enewick(m)}{witness}\n".encode())
+    assert h.hexdigest() == "b70fd1c1e5fa33bda7f9c6338f78efaace924923ba06ab55733772d5b23038a7"
 
 
 # -- rule queries against materialized clade sets -------------------------------
