@@ -213,7 +213,7 @@ def contract_to_star(n: Network) -> EditSequence:
     step is admissible.
     """
     internals = n.internal_nodes()
-    star, _ = quotient(n, [internals])
+    star = quotient(n, [internals])
     return witness_to_sequence(n, star, WitnessStructure({0: frozenset(internals)}))
 
 
@@ -405,10 +405,10 @@ def sequence_to_witness(n: Network, seq: EditSequence) -> tuple[Network, Witness
     return cur, WitnessStructure(parts=dict(merged))
 
 
-def quotient(n: Network, parts: Sequence[Iterable[NodeId]]) -> tuple[Network, dict[NodeId, NodeId]]:
+def quotient(n: Network, parts: Sequence[Iterable[NodeId]]) -> Network:
     """Collapse each part of a partition of I(n) to a single fresh node.
 
-    Returns the quotient network and the map part-member → quotient node.
+    Returns the quotient network, whose node i is part i.
     Raises InvalidParameters when the parts do not cover exactly I(n), and
     validation errors when the quotient is not a valid network (e.g. the
     partition induces a directed cycle).
@@ -432,8 +432,7 @@ def quotient(n: Network, parts: Sequence[Iterable[NodeId]]) -> tuple[Network, di
         yy = part_of[y] if y in part_of else leaf_map[y]
         if xx != yy:
             edges.add((xx, yy))
-    net = validate(sorted(edges), leaf_labels, nodes=range(len(parts)))
-    return net, part_of
+    return validate(sorted(edges), leaf_labels, nodes=range(len(parts)))
 
 
 def delta_mcc_from_common(n1: Network, n2: Network, m: Network) -> int:

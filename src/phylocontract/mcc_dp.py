@@ -34,11 +34,21 @@ Evaluation and traceback run on explicit stacks: each recurrence is a
 generator that yields the sub-entries it needs to one memo driver, so
 neither depends on Python's recursion limit. Of the whole package, only the
 eNewick parser can still end in `NestingTooDeep`.
+
+Where a recurrence chooses among alternatives, the choice is the first
+strict minimum in a fixed order, but not every alternative is evaluated:
+each carries a lower bound, its own contraction charge, and they run
+cheapest bound first until no bound left can beat the best value or tie it
+at an earlier position. Memo values depend only on their keys and every
+sub-entry is strictly smaller than its entry, so the order of evaluation
+cannot change a value, and the stored choices, delta and witnesses are
+those of the exhaustive scan; only the memo tables shrink.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 from .edit_ops import WitnessStructure, check_witness, quotient
 from .errors import Degree2Node, LeafSetMismatch, SelfCheckFailed
@@ -120,17 +130,16 @@ class _NetData:
                         h |= self.d[ch]
                 self.hang[(ci, z)] = h
 
+            # Hangs are non-empty (no degree-2 nodes) and leaf-disjoint
+            # (cycles are edge-disjoint), so the prefixes strictly grow and
+            # each prefix value names one position.
             prefs, prefidx = [], []
             for nodes in (c.side_a, c.side_b):
                 arr = [0]
                 for z in nodes:
-                    h = self.hang[(ci, z)]
-                    assert arr[-1] & h == 0, "side hangs must be disjoint"
-                    arr.append(arr[-1] | h)
+                    arr.append(arr[-1] | self.hang[(ci, z)])
                 prefs.append(arr)
-                at = {v: i for i, v in enumerate(arr)}
-                assert len(at) == len(arr), "prefix fingerprints must be distinct"
-                prefidx.append(at)
+                prefidx.append({v: i for i, v in enumerate(arr)})
             self.pref.append(prefs)
             self.pref_idx.append(prefidx)
 
@@ -312,7 +321,8 @@ def _sort_comp(nd: _NetData, primes: list) -> tuple:
     keyed = []
     for p in primes:
         ls = nd.prime_leafset(p)
-        assert ls, "primes carry at least one leaf"
+        if not ls:
+            raise SelfCheckFailed(f"prime {p} carries no leaf")
         keyed.append(((ls & -ls).bit_length(), p))
     keyed.sort()
     return tuple(p for _, p in keyed)
@@ -370,8 +380,7 @@ class _Solver:
         _, ci, u, v = prime
         if z == nd.next_a(ci, u):
             newp = nd.norm_cycle(ci, z, v)
-        else:
-            assert z == nd.next_b(ci, v)
+        else:  # z == nd.next_b(ci, v)
             newp = nd.norm_cycle(ci, u, z)
         frags = [q for q in comp if q != prime]
         frags.append(newp)
@@ -410,8 +419,15 @@ class _Solver:
     # choice). _evaluate owns the memo tables and the stack.
 
     def _evaluate(self, table: str, key: tuple):
-        """Value of one entry. Every entry on the way is memoized; an entry
-        asked for while it is still open reads as INF."""
+        """Value of one entry. Every entry on the way is memoized.
+
+        Evaluation order cannot change any value: a memo value is a pure
+        function of its key, and every sub-entry an entry asks for is
+        strictly smaller than the entry, so no entry is ever asked for
+        while it is still open. That is what lets
+        _first_min skip alternatives and evaluate the rest out of list
+        order. The INF placeholder written on opening would only be read if
+        that argument failed."""
         memos = self.memos
         steps = {"C": self.fC, "P": self.fP, "L": self.fL}
         stack = []  # open entries, innermost last: (memo, key, generator)
@@ -419,7 +435,7 @@ class _Solver:
             memo = memos[table]
             hit = memo.get(key)
             if hit is None:
-                memo[key] = (INF, None)  # cycle guard; never revisited
+                memo[key] = (INF, None)  # placeholder until the entry closes
                 gen = steps[table](*key)
                 stack.append((memo, key, gen))
                 value = None  # starts the new generator
@@ -439,6 +455,38 @@ class _Solver:
                         return value
                     gen = stack[-1][2]
 
+    def _first_min(self, alts: list):
+        """The first strict minimum among alternatives, without evaluating
+        the ones that cannot be it.
+
+        alts lists (lower bound, thunk) in tie-break order; a thunk returns
+        a recurrence-style generator whose value is at least its bound.
+        Thunks run by (bound, position), and the scan stops at the first one
+        whose (bound, position) exceeds the best (value, position) so far:
+        neither it nor any later one can be smaller, or equal at an earlier
+        position. The result is the minimum of (value, position), exactly
+        what an exhaustive scan that keeps the first strict minimum returns;
+        (INF, None) when every value is INF."""
+        best, choice = (INF, -1), None
+        for i in sorted(range(len(alts)), key=lambda i: alts[i][0]):
+            bound, thunk = alts[i]
+            if (bound, i) > best:
+                break
+            val, got = yield from thunk()
+            if (val, i) < best:
+                best, choice = (val, i), got
+        return best[0], choice
+
+    def _sum(self, charge: int, subs, choice):
+        """charge plus the values of the sub-entries subs, as (value,
+        choice); stops asking at the first INF."""
+        val = charge
+        for sub in subs:
+            val = _add(val, (yield sub))
+            if val == INF:
+                break
+        return val, choice
+
     def fC(self, k1: tuple, k2: tuple):
         if self.nd[0].comp_leafset(k1) != self.nd[1].comp_leafset(k2):
             return INF, None
@@ -452,16 +500,12 @@ class _Solver:
 
         by_ls1 = {self.nd[0].prime_leafset(p): p for p in k1}
         by_ls2 = {self.nd[1].prime_leafset(p): p for p in k2}
-        assert len(by_ls1) == len(k1) and len(by_ls2) == len(k2)
+        if len(by_ls1) != len(k1) or len(by_ls2) != len(k2):
+            raise SelfCheckFailed(f"primes share a leaf set: {k1} vs {k2}")
         if set(by_ls1) != set(by_ls2):
             return INF, None
         pairs = tuple((by_ls1[ls], by_ls2[ls]) for ls in sorted(by_ls1))
-        val = 0
-        for pair in pairs:
-            val = _add(val, (yield "P", pair))
-            if val == INF:
-                break
-        return val, ("match", pairs)
+        return (yield from self._sum(0, [("P", pair) for pair in pairs], ("match", pairs)))
 
     def fP(self, p1, p2):
         nd1, nd2 = self.nd
@@ -484,57 +528,52 @@ class _Solver:
         return (yield from self._case_cycles(p1, p2))
 
     def _case_mixed(self, dside: int, dp, cp):
-        """dp = ("D", u) on side dside; cp = cycle top on the other side."""
+        """dp = ("D", u) on side dside; cp = cycle top on the other side.
+        Keeping the window costs one contraction per window edge, and wins
+        ties against contracting the dangling edge."""
         nd_d, nd_c = self.nd[dside], self.nd[1 - dside]
         u = dp[1]
         _, ci, v, w = cp
         if u in nd_d.n.leaf_label:
             return (INF, None)
         window = nd_c.window(ci, v, w)
-        charge = nd_c.pos_high(ci, w) - nd_c.pos[ci][v] - 2
-        assert charge == len(window) - 1
-
         dec_u = nd_d.decompose(u)
         dec_win = nd_c.decompose_path(ci, window)
         keep_pair = (dec_u, dec_win) if dside == 0 else (dec_win, dec_u)
-        keep = _add(charge, (yield "C", keep_pair))
-
         con_pair = (dec_u, (cp,)) if dside == 0 else ((cp,), dec_u)
-        con = _add(1, (yield "C", con_pair))
-
-        if keep <= con:
-            return (keep, ("c2keep", dside, u, window, keep_pair))
-        return (con, ("c2contract", dside, u, con_pair))
+        keep = ("c2keep", dside, u, window, keep_pair)
+        con = ("c2contract", dside, u, con_pair)
+        charge = len(window) - 1
+        alts = [
+            (charge, partial(self._sum, charge, [("C", keep_pair)], keep)),
+            (1, partial(self._sum, 1, [("C", con_pair)], con)),
+        ]
+        return (yield from self._first_min(alts))
 
     def _case_cycles(self, p1, p2):
+        """Two cycle tops: contract one of the four root-incident cycle
+        edges (cost at least 1 each), or agree on a bottom pair, whose
+        bottom paths alone cost their edge counts."""
         nd1, nd2 = self.nd
         _, ci, u, v = p1
         _, cj, w, x = p2
-        best = (INF, None)
-
+        alts = []
         for s, prime, other in ((0, p1, p2), (1, p2, p1)):
             nd = self.nd[s]
             _, ck, a, b = prime
             t = nd.retic(ck)
             for z in (nd.next_a(ck, a), nd.next_b(ck, b)):
-                if z == t:
-                    continue  # absorbing the reticulation closes a cycle
-                new_comp = self.advance(s, (prime,), prime, z)
-                pair = (new_comp, (other,)) if s == 0 else ((other,), new_comp)
-                val = _add(1, (yield "C", pair))
-                if val < best[0]:
-                    best = (val, ("c4contract", s, z, pair))
+                if z != t:  # absorbing the reticulation closes a cycle
+                    alts.append((1, partial(self._contract_top, s, prime, other, z)))
 
         t1, t2 = nd1.retic(ci), nd2.retic(cj)
         win1 = nd1.window(ci, u, v)
-        p1pos = nd1.pos[ci]
+        p1pos, p2pos = nd1.pos[ci], nd2.pos[cj]
         wa1 = [z for z in win1 if p1pos[z] < p1pos[t1]]
         wb1 = [z for z in win1 if p1pos[z] > p1pos[t1]]
-        lo2, hi2 = nd2.pos[cj][w], nd2.pos_high(cj, x)
+        lo2, hi2 = p2pos[w], nd2.pos_high(cj, x)
         for a in (*wa1, t1):
             for b in (t1, *wb1):
-                if not (p1pos[a] <= p1pos[t1] <= p1pos[b]):
-                    continue
                 target = nd1.d[a] | nd1.d[b]
                 cands = []
                 # the pair of cycle cj inside p2's window that carries target
@@ -544,23 +583,27 @@ class _Solver:
                 if nd2.d[t2] == target:
                     cands.append((t2, t2))
                 for c, dd in cands:
-                    val, info = yield from self._fB(p1, p2, a, b, c, dd)
-                    if val < best[0]:
-                        best = (val, ("b5", a, b, c, dd, info))
-        return best
+                    cost = (p1pos[b] - p1pos[a]) + (p2pos[dd] - p2pos[c])
+                    alts.append((cost, partial(self._fB, p1, p2, a, b, c, dd)))
+        return (yield from self._first_min(alts))
+
+    def _contract_top(self, s: int, prime, other, z: NodeId):
+        """Contract the root edge of cycle top `prime` (side s) onto z."""
+        new_comp = self.advance(s, (prime,), prime, z)
+        pair = (new_comp, (other,)) if s == 0 else ((other,), new_comp)
+        return (yield from self._sum(1, [("C", pair)], ("c4contract", s, z, pair)))
 
     def _fB(self, p1, p2, a, b, c, dd):
         """Bottom split: paths a..t1..b and c..t2..d merge into one node;
-        laterals pair up straight or crosswise."""
+        laterals pair up straight or crosswise, straight winning ties."""
         nd1, nd2 = self.nd
         _, ci, u, v = p1
         _, cj, w, x = p2
         path1 = nd1.order[ci][nd1.pos[ci][a] : nd1.pos[ci][b] + 1]
         path2 = nd2.order[cj][nd2.pos[cj][c] : nd2.pos[cj][dd] + 1]
         cost = (len(path1) - 1) + (len(path2) - 1)
-        dec1 = nd1.decompose_path(ci, path1)
-        dec2 = nd2.decompose_path(cj, path2)
-        bottom = yield "C", (dec1, dec2)
+        decs = (nd1.decompose_path(ci, path1), nd2.decompose_path(cj, path2))
+        bottom = yield "C", decs
         if bottom == INF:
             return INF, None
 
@@ -568,14 +611,13 @@ class _Solver:
         rb1 = _run_between(nd1, ci, 1, v, b)
         ra2 = _run_between(nd2, cj, 0, w, c)
         rb2 = _run_between(nd2, cj, 1, x, dd)
-        straight = _add((yield "L", (ra1, ra2)), (yield "L", (rb1, rb2)))
-        cross = _add((yield "L", (ra1, rb2)), (yield "L", (rb1, ra2)))
-        lat = min(straight, cross)
-        pairing = (
-            ((ra1, ra2), (rb1, rb2)) if straight <= cross else ((ra1, rb2), (rb1, ra2))
+        straight = ((ra1, ra2), (rb1, rb2))
+        cross = ((ra1, rb2), (rb1, ra2))
+        lat, pairing = yield from self._first_min(
+            [(0, partial(self._sum, 0, [("L", q) for q in pr], pr)) for pr in (straight, cross)]
         )
-        total = _add(_add(cost, bottom), lat)
-        return total, (path1, path2, (dec1, dec2), pairing)
+        total = _add(cost + bottom, lat)
+        return total, ("b5", a, b, c, dd, (path1, path2, decs, pairing))
 
     def fL(self, r1, r2):
         nd1, nd2 = self.nd
@@ -583,12 +625,10 @@ class _Solver:
             return INF, None
         if r1 is None and r2 is None:
             return 0, ("emptyrun",)
-        assert r1 is not None and r2 is not None
 
         ci1, s1, lo1, hi1 = r1
         ci2, s2, lo2, hi2 = r2
-        best = (INF, None)
-
+        alts = []
         pref2 = nd2.pref[ci2][s2]
         idx2 = nd2.pref_idx[ci2][s2]
         pref1 = nd1.pref[ci1][s1]
@@ -601,19 +641,19 @@ class _Solver:
             k2 = got - 1
             if not (lo2 <= k2 < hi2):
                 continue
-            top, bottom = _split(r1, r2, k, k2)
-            val = _add((yield "L", top), (yield "L", bottom))
-            if val < best[0]:
-                best = (val, ("split", k, k2))
+            subs = [("L", pair) for pair in _split(r1, r2, k, k2)]
+            alts.append((0, partial(self._sum, 0, subs, ("split", k, k2))))
+        charge = (hi1 - lo1) + (hi2 - lo2)
+        alts.append((charge, partial(self._fullrun, r1, r2, charge)))
+        return (yield from self._first_min(alts))
 
+    def _fullrun(self, r1, r2, charge: int):
+        """Contract each run into one node and compare the merged sides."""
+        nd1, nd2 = self.nd
         nodes1 = _run_nodes(nd1, r1)
         nodes2 = _run_nodes(nd2, r2)
-        dec1 = nd1.decompose_path(ci1, nodes1)
-        dec2 = nd2.decompose_path(ci2, nodes2)
-        val = _add((hi1 - lo1) + (hi2 - lo2), (yield "C", (dec1, dec2)))
-        if val < best[0]:
-            best = (val, ("fullrun", nodes1, nodes2, (dec1, dec2)))
-        return best
+        decs = (nd1.decompose_path(r1[0], nodes1), nd2.decompose_path(r2[0], nodes2))
+        return (yield from self._sum(charge, [("C", decs)], ("fullrun", nodes1, nodes2, decs)))
 
     # -- traceback ---------------------------------------------------------------
 
@@ -622,7 +662,8 @@ class _Solver:
         Nodes go to the part the choice opens, else to the nearest enclosing
         one."""
         val, choice = self.memos[table][key]
-        assert val != INF and choice is not None
+        if val == INF or choice is None:
+            raise SelfCheckFailed(f"traceback reached an unsolved {table} entry")
         tag = choice[0]
         if tag in ("empty", "leafleaf", "emptyrun"):
             return (), (), False, ()
@@ -683,8 +724,8 @@ class _Solver:
 
         p1 = [set(p) for p, _ in parts]
         p2 = [set(q) for _, q in parts]
-        m, _ = quotient(nd1.n, p1)
-        m2, _ = quotient(nd2.n, p2)
+        m = quotient(nd1.n, p1)
+        m2 = quotient(nd2.n, p2)
         _check_aligned(m, m2)
         k = len(parts)
         i1 = nd1.n.num_internal

@@ -303,7 +303,7 @@ def exact_mcc(
         if best is not None and key >= best[0]:
             continue
         try:
-            m, _ = quotient(n1, canon)
+            m = quotient(n1, canon)
         except PhyloError:
             continue
         w2 = _search(target, m, budget)

@@ -138,7 +138,9 @@ def test_connect_between_network_and_tree(g1, t3a):
 
 def test_quotient_collapses_internal_parts(t3a):
     p12 = leafparent(t3a, "1")
-    m, part_of = quotient(t3a, [{t3a.root, p12}])
+    parts = [{t3a.root, p12}]
+    m = quotient(t3a, parts)
+    part_of = {x: i for i, p in enumerate(parts) for x in p}
     assert m.num_internal == 1
     assert part_of[t3a.root] == part_of[p12]
 
@@ -160,7 +162,9 @@ def test_disconnected_part_passes_quotient_but_fails_witness(g1):
     b = leafparent(g1, "3")
     # {a, b} is not weakly connected inside g1 minus root and t; the quotient
     # itself is a fine network, the witness conditions are what reject it
-    m, part_of = quotient(g1, [{a, b}, {g1.root}, {t}])
+    parts = [{a, b}, {g1.root}, {t}]
+    m = quotient(g1, parts)
+    part_of = {x: i for i, p in enumerate(parts) for x in p}
     parts: dict[int, set[int]] = {}
     for src, q in part_of.items():
         parts.setdefault(q, set()).add(src)
@@ -181,7 +185,7 @@ def test_witness_round_trip_via_star(g1):
 
 def test_validate_witness_flags_bad_parts(t3a):
     p12 = leafparent(t3a, "1")
-    m, _ = quotient(t3a, [{t3a.root, p12}])
+    m = quotient(t3a, [{t3a.root, p12}])
     wrong = WitnessStructure({m.root: frozenset({t3a.root})})  # p12 missing
     ok, reason = validate_witness(t3a, m, wrong)
     assert not ok

@@ -204,19 +204,20 @@ def test_stats_identical_pair_exercises_leaf_table():
 # witness digest). k > 0 pairs a network with a k-contraction copy of itself,
 # k == 0 with an independent network. Digests are SHA-256 prefixes of the
 # bytes `mcc wgt --emit/--witness` writes. The pairs are beyond the oracle's
-# reach, so these values, recorded from the solver that built a clade set
-# per prime, are their only reference.
+# reach, so these values are their only reference: deltas and digests were
+# recorded from the solver that built a clade set per prime, entry counts
+# from the one that skips alternatives whose lower bound already loses.
 FROZEN = [
-    ((20, 2, 11, 3), (3, 68, 34, 37, "cfd8e7a363572cc3", "31695a9d16a18d39")),
-    ((24, 3, 21, 0), (41, 43, 26, 0, "754a24c226ea592b", "2f77d21535c4d890")),
-    ((34, 3, 12, 10), (10, 191, 64, 85, "164754dbbd67c4b8", "39df91d26de7dcf8")),
-    ((48, 4, 13, 5), (5, 202, 94, 168, "2c35d99253889607", "3bd38115f3f7b1af")),
+    ((20, 2, 11, 3), (3, 41, 32, 17, "cfd8e7a363572cc3", "31695a9d16a18d39")),
+    ((24, 3, 21, 0), (41, 41, 25, 0, "754a24c226ea592b", "2f77d21535c4d890")),
+    ((34, 3, 12, 10), (10, 163, 64, 38, "164754dbbd67c4b8", "39df91d26de7dcf8")),
+    ((48, 4, 13, 5), (5, 97, 81, 40, "2c35d99253889607", "3bd38115f3f7b1af")),
     ((60, 5, 14, 0), (95, 89, 60, 0, "76d98ab49c119232", "176bf46005c9bb34")),
-    ((72, 2, 15, 4), (4, 325, 145, 343, "5f110b45be4be341", "8edf87226636e02f")),
-    ((85, 3, 16, 12), (12, 290, 143, 175, "3c98d40575a655fa", "0d4cab98276b3b08")),
-    ((96, 4, 17, 6), (6, 220, 163, 98, "2ca1857e6e832797", "185e18f9d8b0b322")),
+    ((72, 2, 15, 4), (4, 224, 141, 64, "5f110b45be4be341", "8edf87226636e02f")),
+    ((85, 3, 16, 12), (12, 259, 143, 85, "3c98d40575a655fa", "0d4cab98276b3b08")),
+    ((96, 4, 17, 6), (6, 154, 156, 34, "2ca1857e6e832797", "185e18f9d8b0b322")),
     ((108, 5, 18, 0), (154, 147, 108, 0, "6d1e4e0f410fd144", "90db0c592e5a8055")),
-    ((120, 3, 19, 2), (2, 457, 233, 784, "533ce2d903699fc2", "bdd15fd623f60f9f")),
+    ((120, 3, 19, 2), (2, 210, 210, 69, "533ce2d903699fc2", "bdd15fd623f60f9f")),
     ((30, 5, 20, 0), (56, 50, 30, 0, "fd20c8da0a26d4c8", "a378b194eaf59c57")),
 ]
 
@@ -335,7 +336,10 @@ def _materialized_values(nd, comp) -> set[int]:
     return out
 
 
-@pytest.mark.parametrize("spec", [(34, 3, 12, 10), (48, 4, 13, 5), (30, 5, 20, 0)])
+# About 4100 rule queries over the four pairs' solved fC entries.
+@pytest.mark.parametrize(
+    "spec", [(34, 3, 12, 10), (48, 4, 13, 5), (30, 5, 20, 0), (72, 2, 15, 4)]
+)
 def test_has_value_matches_materialized_clades(spec):
     solver = _Solver(*_frozen_pair(*spec))
     solver.run()
@@ -358,6 +362,7 @@ def test_has_value_matches_materialized_clades(spec):
 SELF_CHECK_SCRIPT = """
 import sys
 import phylocontract.edit_ops as edit_ops
+import phylocontract.mcc_dp as mcc_dp
 import phylocontract.mcc_oracle as mcc_oracle
 from phylocontract import exact_mcc, parse_enewick, solve, tree_mcc
 from phylocontract.errors import SelfCheckFailed
@@ -376,6 +381,15 @@ try:
     print("returned", exact_mcc(a, b))
 except SelfCheckFailed as exc:
     print("exact_mcc", exc)
+# a solved entry without a choice leaves the DP's traceback stuck
+def choiceless(self, p1, p2):
+    return 0, None
+    yield
+mcc_dp._Solver.fP = choiceless
+try:
+    print("returned", solve(a, b))
+except SelfCheckFailed as exc:
+    print("solve", exc)
 """
 
 
@@ -401,12 +415,14 @@ def _run_optimized(script: str) -> list[str]:
 
 def test_witness_self_checks_survive_python_O():
     # python -O drops asserts; the checks that end solve, exact_mcc and
-    # tree_mcc must still catch a witness that fails validation, and
-    # exact_mcc must still notice that no partition survived.
+    # tree_mcc must still catch a witness that fails validation, exact_mcc
+    # must still notice that no partition survived, and the DP's traceback
+    # must refuse an entry that has no choice to follow.
     assert _run_optimized(SELF_CHECK_SCRIPT) == [
         "optimize=1",
         *(f"{name} witness check failed: planted" for name in ("solve", "exact_mcc", "tree_mcc")),
         "exact_mcc no partition of the first network contracts the second",
+        "solve traceback reached an unsolved P entry",
     ]
 
 

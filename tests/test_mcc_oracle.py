@@ -396,7 +396,7 @@ def test_prefilter_refuses_exactly_the_pre_search_refusals():
         doomed = mcc_oracle._prefilter(n1, mcc_oracle._prepare(n2))
         for parts in connected_partitions(n1):
             try:
-                m, _ = quotient(n1, [set(p) for p in parts])
+                m = quotient(n1, [set(p) for p in parts])
             except PhyloError:
                 continue
             try:
@@ -421,7 +421,7 @@ def _contraction_cases():
         for i, parts in enumerate(connected_partitions(n)):
             if i % 3 == 0:
                 try:
-                    targets.append(quotient(n, [set(p) for p in parts])[0])
+                    targets.append(quotient(n, [set(p) for p in parts]))
                 except PhyloError:
                     pass
         targets += [gen_wgt(leaves, rng.randint(0, 2), rng.randrange(1 << 30)) for _ in range(3)]
