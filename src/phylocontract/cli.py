@@ -6,11 +6,16 @@ dist upper, gen (diameter|reduction1|reduction2|random-wgt).
 Exit codes: 0 success / boolean yes, 1 boolean no (iso mismatch, common
 contraction not larger than the --mcnc threshold), 2 input or usage errors,
 reported on stderr as `error: CODE: message`.
+
+`main(argv)` may be called any number of times in one process. The parser
+is built on the first call and reused by every later one; nothing is built
+at import, and a one-shot run builds it once as before.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -241,6 +246,11 @@ def cmd_gen_random_wgt(args) -> int:
 # --- parser ---------------------------------------------------------------
 
 
+# Parsing never mutates the parser (defaults, the SUPPRESS default of
+# `gen random-wgt --seed` and required subcommands live on the actions, not
+# in per-call state), and help text sizes its formatter when printed, so
+# one parser serves every call.
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="phylocontract",

@@ -374,9 +374,11 @@ def witness_to_sequence(n: Network, m: Network, w: WitnessStructure) -> EditSequ
         while len(live) > 1:
             position = {x: i for i, x in enumerate(topological_order(cur))}
             x = min(live, key=position.__getitem__)
-            inside = [y for y in cur.succ[x] if y in live]
-            assert inside, "weakly connected part must have an internal edge"
-            y = min(inside, key=position.__getitem__)
+            # validate_witness found the part weakly connected, and each
+            # contraction inside it keeps it so. x is its topologically first
+            # live node, so every edge joining x to the rest of the part
+            # leaves x: a live successor y exists.
+            y = min((y for y in cur.succ[x] if y in live), key=position.__getitem__)
             fresh = cur.fresh_id()
             if not is_admissible(cur, x, y):
                 raise InvalidWitness(f"contraction ({x},{y}) inside part {key} inadmissible")

@@ -18,6 +18,7 @@ from .errors import (
     LeafWithInDegreeNot1,
     MultipleRoots,
     NoRoot,
+    SelfCheckFailed,
     UnknownNode,
     UnlabeledLeaf,
 )
@@ -260,7 +261,11 @@ def _label_indices(bits: int) -> tuple[int, ...]:
 
 
 def topological_order(n: Network) -> list[NodeId]:
-    """Deterministic topological order (smallest available NodeId first)."""
+    """Deterministic topological order (smallest available NodeId first).
+
+    Raises CyclicGraph on a directed cycle, which the unchecked
+    `Network(...)` constructor lets through.
+    """
     remaining = {u: len(n.pred[u]) for u in n.succ}
     heap = [u for u in n.succ if remaining[u] == 0]
     heapq.heapify(heap)
@@ -272,7 +277,8 @@ def topological_order(n: Network) -> list[NodeId]:
             remaining[v] -= 1
             if remaining[v] == 0:
                 heapq.heappush(heap, v)
-    assert len(order) == len(n.succ)
+    if len(order) != len(n.succ):
+        raise CyclicGraph("directed cycle detected")
     return order
 
 
@@ -369,5 +375,6 @@ def is_isomorphic(n1: Network, n2: Network, return_mapping: bool = False):
         used_inv[vs[k]] = u
         i += 1
     # Full edge check (the incremental checks already imply it, kept cheap).
-    assert all(phi[v] in n2.succ[phi[u]] for u, v in n1.edges())
+    if not all(phi[v] in n2.succ[phi[u]] for u, v in n1.edges()):
+        raise SelfCheckFailed("isomorphism mapping misses an edge")
     return (True, dict(phi)) if return_mapping else True

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import os
 from pathlib import Path
 
 import pytest
@@ -94,3 +95,10 @@ def caterpillar_edgelist(leaves: int) -> str:
     lines.append("#leaves")
     lines.extend(f"l{i} x{i}" for i in range(leaves))
     return "\n".join(lines) + "\n"
+
+
+def src_env() -> dict[str, str]:
+    """os.environ with this checkout's src/ first on PYTHONPATH."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": path}

@@ -1,11 +1,13 @@
 """Command-line surface: outputs, exit codes, and the error channel."""
 
 import json
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-from conftest import G1_TEXT, STAR3_TEXT, T3A_TEXT, T3B_TEXT
+from conftest import G1_TEXT, STAR3_TEXT, T3A_TEXT, T3B_TEXT, src_env
 from phylocontract import cli
 from phylocontract.cli import main
 from phylocontract.generators import random_wgt
@@ -404,3 +406,137 @@ def test_wrong_format_reports_syntax_error(files, capsys):
     f = files("g1.edges", G1_EDGES)
     code, _, err = run(capsys, ["mcc", "wgt", f, f])  # default enewick reader
     assert code == 2 and err.startswith("error: SyntaxError:")
+
+
+# -- one parser per process ---------------------------------------------------------
+
+
+def _read_outputs(outputs) -> dict:
+    return {p: Path(p).read_bytes() if Path(p).exists() else None for p in outputs}
+
+
+def _outcome(capsys, argv, outputs=()):
+    """Exit code, stdout, stderr and output files of one in-process call."""
+    for path in outputs:
+        Path(path).unlink(missing_ok=True)
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse's usage errors and --help
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err, _read_outputs(outputs)
+
+
+def _alone(argv, outputs=()):
+    """The same as `_outcome`, for the call made alone in a fresh
+    `python -m phylocontract` process."""
+    for path in outputs:
+        Path(path).unlink(missing_ok=True)
+    proc = subprocess.run(
+        [sys.executable, "-m", "phylocontract", *argv],
+        env=src_env(),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    return proc.returncode, proc.stdout, proc.stderr, _read_outputs(outputs)
+
+
+def _in_turn(capsys, calls) -> list:
+    """Run (argv, output paths) calls back to back in this process; each must
+    match the same call made alone. Returns their outcomes."""
+    outcomes = [_outcome(capsys, argv, outputs) for argv, outputs in calls]
+    for (argv, outputs), outcome in zip(calls, outcomes):
+        assert outcome == _alone(argv, outputs), argv
+    return outcomes
+
+
+@pytest.fixture
+def pair(fixture_dir, tmp_path):
+    """argv tail for `mcc` on t3a/t3b writing both output files, and their paths."""
+    emit, wit = str(tmp_path / "m.nwk"), str(tmp_path / "w.json")
+    files = [str(fixture_dir / "t3a.nwk"), str(fixture_dir / "t3b.nwk")]
+    return [*files, "--emit", emit, "--witness", wit], (emit, wit)
+
+
+def test_budget_does_not_outlive_its_call(capsys, pair):
+    tail, outputs = pair
+    calls = [
+        (["mcc", "exact", *tail, "--budget", "1"], outputs),
+        (["mcc", "exact", *tail], outputs),
+    ]
+    assert [code for code, *_ in _in_turn(capsys, calls)] == [2, 0]
+
+
+def test_mcnc_does_not_outlive_its_call(capsys, fixture_dir, pair):
+    tail, outputs = pair
+    other = [str(fixture_dir / f) for f in ("g1.nwk", "t3a.nwk")] + tail[2:]
+    calls = [(["mcc", "wgt", *tail, "--mcnc", "1"], outputs), (["mcc", "wgt", *tail], outputs)]
+    calls.append((["mcc", "wgt", *other], outputs))
+    outcomes = _in_turn(capsys, calls)
+    assert [code for code, *_ in outcomes] == [1, 0, 0]
+    assert None not in outcomes[2][3].values()
+
+
+def test_global_seed_does_not_outlive_its_call(capsys):
+    gen = ["gen", "random-wgt", "--leaves", "6", "--retics", "2"]
+    seeded, default = _in_turn(capsys, [(["--seed", "7", *gen], ()), (gen, ())])
+    assert seeded[0] == default[0] == 0
+    assert default[1] == "((1)#H1,(#H1,((2)#H2,(#H2,5,6))),(3,4));\n"  # seed 0
+
+
+@pytest.mark.parametrize("first", [["mcc"], ["--help"], ["mcc", "exact", "--help"]])
+def test_parser_exit_leaves_later_calls_unchanged(capsys, monkeypatch, pair, first):
+    monkeypatch.setenv("COLUMNS", "80")  # same help width in both processes
+    tail, outputs = pair
+    calls = [(first, ()), (["mcc", "exact", *tail], outputs)]
+    codes = [code for code, *_ in _in_turn(capsys, calls)]
+    assert codes == [2 if first == ["mcc"] else 0, 0]
+
+
+def test_help_width_is_read_at_each_call(capsys, monkeypatch):
+    helps = {}
+    for columns in ("60", "120"):
+        monkeypatch.setenv("COLUMNS", columns)
+        helps[columns] = _outcome(capsys, ["mcc", "exact", "--help"])
+        assert helps[columns] == _alone(["mcc", "exact", "--help"])
+    assert helps["60"][1] != helps["120"][1]
+
+
+BUILD_COUNT_SCRIPT = """
+import argparse
+import sys
+
+built = 0
+init = argparse.ArgumentParser.__init__
+
+
+def counted(self, *args, **kwargs):
+    global built
+    built += 1
+    init(self, *args, **kwargs)
+
+
+argparse.ArgumentParser.__init__ = counted
+import phylocontract.cli as cli
+
+print(built)
+for _ in range(2):
+    cli.main(["--quiet", "validate", sys.argv[1]])
+    print(built)
+"""
+
+
+def test_parser_is_built_once_and_not_at_import(fixture_dir):
+    # A fresh process: other tests here may already have built the parser.
+    proc = subprocess.run(
+        [sys.executable, "-c", BUILD_COUNT_SCRIPT, str(fixture_dir / "g1.nwk")],
+        env=src_env(),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    at_import, first, second = map(int, proc.stdout.split())
+    assert at_import == 0 and first > 0 and second == first
+
