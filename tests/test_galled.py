@@ -18,6 +18,7 @@ from phylocontract import (
     one_clades,
     parse_enewick,
     two_clades,
+    write_edgelist,
 )
 from phylocontract.edit_ops import Contraction, contract
 from phylocontract.errors import (
@@ -34,7 +35,7 @@ from phylocontract.generators import (
     reduction_five_leaves,
 )
 from phylocontract.network_core import is_acyclic, validate
-from tests.conftest import gen_wgt
+from tests.conftest import G1_TEXT, STAR3_TEXT, T3A_TEXT, T3B_TEXT, gen_wgt, perturb
 from tests.test_acceptance import _all_small_instances
 
 
@@ -196,6 +197,43 @@ def test_rules_never_increase_delta(t3a, t3b, g1, star3):
         r1, r2, count = apply_rules(n1, n2)
         after = exact_mcc(r1, r2)[0]
         assert before == count + after
+
+
+def _rules_digest_pairs():
+    """Seeded pairs for the frozen apply_rules digest: random weakly galled
+    trees against 1-6-contraction copies, against independent samples on as
+    many leaves, and every ordered pair of the four fixtures."""
+    rng = SplitMix64(1301)
+    for _ in range(150):
+        leaves = rng.randint(3, 60)
+        n = gen_wgt(leaves, rng.randint(0, min(5, leaves // 3)), rng.randrange(1 << 30))
+        yield n, perturb(n, rng.randint(1, 6), rng.randrange(1 << 30))
+    for _ in range(134):
+        leaves = rng.randint(3, 40)
+        retics = rng.randint(0, min(4, leaves // 3))
+        yield (
+            gen_wgt(leaves, retics, rng.randrange(1 << 30)),
+            gen_wgt(leaves, retics, rng.randrange(1 << 30)),
+        )
+    fixtures = [parse_enewick(t) for t in (G1_TEXT, T3A_TEXT, T3B_TEXT, STAR3_TEXT)]
+    for n1 in fixtures:
+        for n2 in fixtures:
+            yield n1, n2
+
+
+def test_rules_digest_is_frozen():
+    # One SHA-256 over the firing count and both reduced networks of every
+    # pair above, recorded from the per-round clade-index implementation of
+    # the rules: any other engine must fire the same contractions in the
+    # same order, fresh node ids included.
+    h = hashlib.sha256()
+    fired = 0
+    for n1, n2 in _rules_digest_pairs():
+        r1, r2, count = apply_rules(n1, n2)
+        fired += count > 0
+        h.update(f"{count}\n{write_edgelist(r1)}{write_edgelist(r2)}".encode())
+    assert fired >= 180  # 189 of the 300 pairs fire at least one rule
+    assert h.hexdigest() == "89c108ee220b59711aaf8ed3f7d0f733c3696e7c96ec6e554f606cfc4f6fdbca"
 
 
 # -- the cycle walk against the lowpoint reference ---------------------------
