@@ -1,4 +1,4 @@
-"""Weakly galled trees: recognition, reticulation cycles, clades, safe rules.
+"""Weakly galled trees: recognition, reticulation cycles, clades.
 
 A reticulation cycle is a pair of directed paths r→…→t meeting only at r
 (the cycle root) and t (the reticulation). A network is a weakly galled tree
@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .errors import LeafSetMismatch, NotWeaklyGalled, SelfCheckFailed
+from .errors import NotWeaklyGalled, SelfCheckFailed
 from .network_core import Network, NodeId, _label_indices
 
 __all__ = [
@@ -34,7 +34,6 @@ __all__ = [
     "one_clades",
     "two_clades",
     "build_clade_index",
-    "apply_rules",
     "has_degree2_node",
 ]
 
@@ -203,66 +202,3 @@ def one_clades(n: Network) -> dict[int, tuple[NodeId, ...]]:
 def two_clades(n: Network) -> dict[int, tuple[tuple[NodeId, NodeId], ...]]:
     """Σ2 as a map from clade value to its witnessing cycle pairs."""
     return build_clade_index(n).two_clades
-
-
-def _rule_candidates(n: Network, idx: CladeIndex):
-    """Root children relevant to Rule 1 / Rule 2, with their clade queries,
-    read from n's clade index.
-
-    Yields (kind, child, queries): kind 1 when the child is a 1-clade node
-    (contract if its single query is absent from the other side's clades),
-    kind 2 when it is strictly inside a cycle side (contract if every 2-clade
-    containing it is absent).
-    """
-    d = idx.d
-    side_of = {x: c for c in idx.cycles for x in c.side_a + c.side_b}
-    for child in n.succ[n.root]:
-        if child in n.leaf_label:
-            continue
-        if len(n.pred[child]) >= 2:
-            continue  # reticulation child: neither rule applies
-        if child not in side_of:
-            yield 1, child, (d[child],)
-        else:
-            c = side_of[child]
-            others = c.side_b if child in c.side_a else c.side_a
-            queries = tuple(d[child] | d[y] for y in (*others, c.reticulation))
-            yield 2, child, queries
-
-
-def apply_rules(n1: Network, n2: Network) -> tuple[Network, Network, int]:
-    """Exhaustively apply the two safe contraction rules to both networks.
-
-    Rule 1 contracts a root edge to a 1-clade child whose clade appears
-    nowhere among the other network's 1- or 2-clades; Rule 2 does the same
-    for a cycle-side child all of whose 2-clades are absent. Scheduling is
-    deterministic: Rule 1 before Rule 2, network 1 before network 2,
-    candidate children in NodeId order; one contraction per round. Each
-    round builds both clade indexes once, network 2's first.
-    """
-    if n1.leaf_universe != n2.leaf_universe:
-        raise LeafSetMismatch(f"{n1.leaf_universe} vs {n2.leaf_universe}")
-    nets = [n1, n2]
-    count = 0
-    from .edit_ops import contract_admissible
-
-    while True:
-        other = build_clade_index(nets[1])  # network 2's error is raised first
-        idx = (build_clade_index(nets[0]), other)
-        known = [set(x.one_clades) | set(x.two_clades) for x in idx]
-        cands = [sorted(_rule_candidates(nets[i], idx[i]), key=lambda t: t[1]) for i in (0, 1)]
-        fire = next(
-            (
-                (i, child)
-                for rule in (1, 2)
-                for i in (0, 1)
-                for kind, child, queries in cands[i]
-                if kind == rule and all(q not in known[1 - i] for q in queries)
-            ),
-            None,
-        )
-        if fire is None:
-            return nets[0], nets[1], count
-        i, child = fire
-        nets[i] = contract_admissible(nets[i], nets[i].root, child)
-        count += 1

@@ -20,7 +20,10 @@ Recurrences:
       point, or contract each run into a single node and compare the merged
       side networks.
 
-Rules 1 and 2 only ask whether a clade value occurs among the other
+Rules 1 and 2 have one engine, `_Solver.firings`, which lists the safe
+contractions of a composition pair in schedule order: fC takes the first,
+and `apply_rules` drives it from the root compositions to reduce two whole
+networks. A rule only asks whether a clade value occurs among the other
 composition's 1- and 2-clades. Each network's witnesses come from its
 `galled.build_clade_index`: the mask of a value's 1-clade nodes and its one
 cycle pair. A query finds the one prime that can hold the value and tests
@@ -50,12 +53,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import partial
 
-from .edit_ops import WitnessStructure, check_witness, quotient
+from .edit_ops import WitnessStructure, check_witness, contract_admissible, quotient
 from .errors import Degree2Node, LeafSetMismatch, SelfCheckFailed
 from .galled import CladeIndex, build_clade_index
 from .network_core import Network, NodeId, topological_order
 
-__all__ = ["solve", "solve_with_stats", "DpStats"]
+__all__ = ["solve", "solve_with_stats", "DpStats", "apply_rules"]
 
 INF = float("inf")
 
@@ -387,8 +390,10 @@ class _Solver:
         frags.extend(nd.node_fragments(z, skip_on_cycle=ci))
         return _sort_comp(nd, frags)
 
-    def rule_step(self, k1: tuple, k2: tuple):
-        """First safe contraction under the deterministic schedule, or None."""
+    def firings(self, k1: tuple, k2: tuple):
+        """Every safe contraction of (k1, k2) in schedule order: Rule 1
+        before Rule 2, side 0 before side 1, lowest node first. Yields
+        (side, node, queries, contracted pair)."""
         comps = (k1, k2)
         index = [None, None]  # [s]: the other side's comp_index, built on first query
         for rule in (1, 2):
@@ -408,9 +413,7 @@ class _Solver:
                         new_comp = _sort_comp(nd, frags)
                     else:
                         new_comp = self.advance(s, comps[s], prime, z)
-                    pair = (new_comp, k2) if s == 0 else (k1, new_comp)
-                    return s, z, pair
-        return None
+                    yield s, z, queries, ((new_comp, k2) if s == 0 else (k1, new_comp))
 
     # -- recurrences -----------------------------------------------------------
     #
@@ -493,9 +496,9 @@ class _Solver:
         if not k1 and not k2:
             return 0, ("empty",)
 
-        fired = self.rule_step(k1, k2)
+        fired = next(self.firings(k1, k2), None)
         if fired is not None:
-            s, z, pair = fired
+            s, z, _, pair = fired
             return _add(1, (yield "C", pair)), ("rule", s, z, pair)
 
         by_ls1 = {self.nd[0].prime_leafset(p): p for p in k1}
@@ -819,3 +822,29 @@ def solve_with_stats(n1: Network, n2: Network):
     s = _Solver(n1, n2)
     result = s.run()
     return result, s.stats()
+
+
+def apply_rules(n1: Network, n2: Network) -> tuple[Network, Network, int]:
+    """Exhaustively apply the safe Rules 1/2 to both networks; returns the
+    reduced pair and the number of contractions.
+
+    The rules are fC's: from the two root compositions, each step replays the
+    first firing on its network, so the schedule is the DP's. The one
+    difference is the full leaf set, which the other network's root
+    witnesses but has_value leaves out, so a firing that queries it is
+    skipped. Inputs are solve's: weakly galled trees on one leaf set without
+    internal degree-2 nodes.
+    """
+    solver = _Solver(n1, n2)
+    nd1, nd2 = solver.nd
+    full = nd1.d[n1.root]
+    pair = (nd1.decompose(n1.root), nd2.decompose(n2.root))
+    nets = [n1, n2]
+    count = 0
+    while True:
+        fired = next((f for f in solver.firings(*pair) if full not in f[2]), None)
+        if fired is None:
+            return nets[0], nets[1], count
+        s, z, _, pair = fired
+        nets[s] = contract_admissible(nets[s], nets[s].root, z)
+        count += 1

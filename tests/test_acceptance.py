@@ -32,7 +32,6 @@ from phylocontract.errors import (
     PhyloError,
 )
 from phylocontract.galled import (
-    apply_rules,
     has_degree2_node,
     is_weakly_galled,
     one_clades,
@@ -48,7 +47,7 @@ from phylocontract.generators import (
     reduction_five_leaves,
 )
 from phylocontract.io_enewick import parse_edgelist, parse_enewick, write_enewick
-from phylocontract.mcc_dp import solve, solve_with_stats
+from phylocontract.mcc_dp import apply_rules, solve, solve_with_stats
 from phylocontract.mcc_oracle import exact_mcc, is_contraction, tree_mcc
 from phylocontract.network_core import is_acyclic, is_isomorphic
 

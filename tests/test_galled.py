@@ -9,7 +9,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from phylocontract import (
-    apply_rules,
     build_clade_index,
     cycles,
     has_degree2_node,
@@ -22,6 +21,7 @@ from phylocontract import (
 )
 from phylocontract.edit_ops import Contraction, contract
 from phylocontract.errors import (
+    Degree2Node,
     GenerationFailed,
     InvalidParameters,
     LeafSetMismatch,
@@ -34,6 +34,7 @@ from phylocontract.generators import (
     reduction_deg_bounded,
     reduction_five_leaves,
 )
+from phylocontract.mcc_dp import apply_rules
 from phylocontract.network_core import is_acyclic, validate
 from tests.conftest import G1_TEXT, STAR3_TEXT, T3A_TEXT, T3B_TEXT, gen_wgt, perturb
 from tests.test_acceptance import _all_small_instances
@@ -187,6 +188,20 @@ def test_rules_require_equal_universes(t3a):
     other = parse_enewick("((1,2),4);")
     with pytest.raises(LeafSetMismatch):
         apply_rules(t3a, other)
+
+
+def test_rules_take_solves_input_contract(t3b):
+    # The rules run on the DP's engine, so the inputs are solve's: a leaf
+    # set mismatch is raised first, then network 1's structural error.
+    with pytest.raises(Degree2Node):
+        apply_rules(parse_enewick("(((1,2)),3);"), t3b)
+    with pytest.raises(LeafSetMismatch):
+        apply_rules(parse_enewick("(((1,2)),4);"), t3b)
+    shared = parse_enewick("((((1)#H1,2),(#H1,(3)#H2)),(#H2,4));")
+    with pytest.raises(LeafSetMismatch):
+        apply_rules(shared, t3b)
+    with pytest.raises(NotWeaklyGalled):
+        apply_rules(shared, parse_enewick("((((1,2)),3),4);"))
 
 
 def test_rules_never_increase_delta(t3a, t3b, g1, star3):
