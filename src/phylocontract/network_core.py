@@ -19,7 +19,6 @@ from .errors import (
     MultipleRoots,
     NoRoot,
     SelfCheckFailed,
-    UnknownNode,
     UnlabeledLeaf,
 )
 
@@ -40,10 +39,11 @@ class Network:
         self,
         succ: Mapping[NodeId, Iterable[NodeId]],
         leaf_label: Mapping[NodeId, str],
-        root: NodeId,
+        root: NodeId | None,
     ):
         """Unchecked: `succ` must map every node of a valid network to its
-        out-neighbors; its key order becomes the node order."""
+        out-neighbors; its key order becomes the node order. `validate`
+        passes root=None and sets the root once the graph is a DAG."""
         self.succ = {u: tuple(sorted(vs)) for u, vs in succ.items()}
         pred: dict[NodeId, list[NodeId]] = {u: [] for u in self.succ}
         for u, vs in self.succ.items():
@@ -190,63 +190,36 @@ def validate(
     if not succ_sets:
         raise NoRoot("empty node set")
 
-    indeg = {u: 0 for u in succ_sets}
-    for u, vs in succ_sets.items():
-        for v in vs:
-            indeg[v] += 1
-
-    # Kahn's algorithm: detects cycles and finds the sources.
-    queue = [u for u in succ_sets if indeg[u] == 0]
-    remaining = dict(indeg)
-    order_count = 0
-    stack = list(queue)
-    while stack:
-        u = stack.pop()
-        order_count += 1
-        for v in succ_sets[u]:
-            remaining[v] -= 1
-            if remaining[v] == 0:
-                stack.append(v)
-    if order_count != len(succ_sets):
-        raise CyclicGraph("directed cycle detected")
-    if not queue:
-        raise NoRoot("no in-degree-0 node")
-    if len(queue) > 1:
-        raise MultipleRoots(f"in-degree-0 nodes: {sorted(queue)}")
-    root = queue[0]
+    n = Network(succ_sets, leaf_labels, root=None)
+    topological_order(n)  # raises CyclicGraph
+    roots = [u for u in n.succ if not n.pred[u]]  # a non-empty DAG has one
+    if len(roots) > 1:
+        raise MultipleRoots(f"in-degree-0 nodes: {sorted(roots)}")
+    n.root = roots[0]
 
     labels_seen: dict[str, NodeId] = {}
     for u, lab in leaf_labels.items():
-        if u not in succ_sets:
-            raise UnknownNode(f"label on unknown node {u}")
-        if succ_sets[u]:
+        if n.succ[u]:
             raise UnlabeledLeaf(f"label {lab!r} attached to non-leaf node {u}")
         if lab in labels_seen:
             raise DuplicateLabel(f"label {lab!r} on nodes {labels_seen[lab]} and {u}")
         labels_seen[lab] = u
-    for u, vs in succ_sets.items():
+    for u, vs in n.succ.items():
         if not vs:
             if u not in leaf_labels:
                 raise UnlabeledLeaf(f"sink node {u} has no label")
-            if indeg[u] != 1:
-                raise LeafWithInDegreeNot1(f"leaf {u} has in-degree {indeg[u]}")
-
-    return Network(succ_sets, leaf_labels, root)
+            if len(n.pred[u]) != 1:
+                raise LeafWithInDegreeNot1(f"leaf {u} has in-degree {len(n.pred[u])}")
+    return n
 
 
 def is_acyclic(n: Network) -> bool:
     """Cycle check that works on raw (possibly invalid) networks."""
-    remaining = {u: len(n.pred[u]) for u in n.succ}
-    stack = [u for u in n.succ if remaining[u] == 0]
-    count = 0
-    while stack:
-        u = stack.pop()
-        count += 1
-        for v in n.succ[u]:
-            remaining[v] -= 1
-            if remaining[v] == 0:
-                stack.append(v)
-    return count == len(n.succ)
+    try:
+        topological_order(n)
+    except CyclicGraph:
+        return False
+    return True
 
 
 def _label_indices(bits: int) -> tuple[int, ...]:
