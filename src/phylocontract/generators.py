@@ -53,7 +53,8 @@ class SplitMix64:
         return z ^ (z >> 31)
 
     def randrange(self, n: int) -> int:
-        assert n > 0
+        if n < 1:
+            raise InvalidParameters(f"randrange needs n >= 1, got {n}")
         # rejection sampling to avoid modulo bias
         limit = _MASK - (_MASK + 1) % n
         while True:
@@ -175,7 +176,14 @@ class _Builder:
 
 def _finish(edges: set, labels: dict, expect_internal: int) -> Network:
     n = validate(edges, labels)
-    assert n.num_internal == expect_internal, (n.num_internal, expect_internal)
+    if n.num_internal != expect_internal:
+        raise SelfCheckFailed(f"built {n.num_internal} internal nodes, expected {expect_internal}")
+    return n
+
+
+def _check_weakly_galled(n: Network) -> Network:
+    if not is_weakly_galled(n):
+        raise SelfCheckFailed(f"chain construction built {n!r}, not a weakly galled tree")
     return n
 
 
@@ -199,20 +207,18 @@ def _tree_contracted(labels: list[str], m: int, at_root: str) -> Network:
     return _finish(edges, {leaf_id[lab]: lab for lab in labels}, m)
 
 
-def _chain_params(total_internal: int, budget_leaves: int) -> tuple[int, int, int] | None:
+def _chain_params(total_internal: int, budget_leaves: int) -> tuple[int, int] | None:
     """Split `total_internal` = b + 3c spine/triangle nodes so that
     b + c + 1 leaves fit within `budget_leaves` (surplus goes to the bottom).
-    Returns (b, c, extra) with c >= 1, or None."""
+    Returns (b, c) with c >= 1, or None. c <= m // 3 makes b >= 0, and
+    2c >= m - l + 1 leaves l - (b + c) >= 1 labels for the bottom."""
     m, l = total_internal, budget_leaves
     lo = max(1, -(-(m - l + 1) // 2))
     hi = m // 3
     if lo > hi:
         return None
     c = lo  # fewest triangles that fit
-    b = m - 3 * c
-    extra = l - (b + c + 1)
-    assert b >= 0 and extra >= 0
-    return b, c, extra
+    return m - 3 * c, c
 
 
 def _root_leaf_feasible(num_leaves: int, m: int) -> bool:
@@ -247,7 +253,6 @@ def _build_chain(
         g.edges.update([(t_top, t_side), (t_top, t_ret), (t_side, t_ret)])
         g.leaf(side.pop(0), t_side)
         last = t_ret
-    assert not side
     for lab in bottom_leaves:
         g.leaf(lab, last)
 
@@ -258,16 +263,12 @@ def _path_chain(labels: list[str], m: int, deep: str) -> Network:
     params = _chain_params(m, len(labels))
     if params is None:
         raise InvalidParameters(f"no spine/triangle split for m={m}, l={len(labels)}")
-    b, c, extra = params
+    b, c = params
     avail = [x for x in labels if x != deep]
     side = avail[: b + c]
-    bottom = avail[b + c :]
-    assert len(bottom) == extra
     g = _Builder()
-    _build_chain(g, None, side, [*bottom, deep], b, c)
-    n = _finish(g.edges, g.labels, m)
-    assert is_weakly_galled(n)
-    return n
+    _build_chain(g, None, side, [*avail[b + c :], deep], b, c)
+    return _check_weakly_galled(_finish(g.edges, g.labels, m))
 
 
 def _root_leaf_cyc(labels: list[str], m: int, top: str) -> Network:
@@ -275,7 +276,7 @@ def _root_leaf_cyc(labels: list[str], m: int, top: str) -> Network:
     params = _chain_params(m - 1, len(labels) - 1)
     if params is None:
         raise InvalidParameters(f"no root-leaf chain for m={m}, l={len(labels)}")
-    b, c, extra = params
+    b, c = params
     avail = [x for x in labels if x != top]
     side = avail[: b + c]
     bottom = avail[b + c :]
@@ -284,10 +285,7 @@ def _root_leaf_cyc(labels: list[str], m: int, top: str) -> Network:
     root = g.node()
     g.edges.add((root, top_leaf))
     _build_chain(g, root, side, bottom, b, c)
-    n = _finish(g.edges, g.labels, m)
-    assert is_weakly_galled(n)
-    assert bottom, "the last chain node must carry at least one leaf"
-    return n
+    return _check_weakly_galled(_finish(g.edges, g.labels, m))
 
 
 def _ladder(labels: list[str], twin: tuple[str, str], at_root: tuple[str, str]) -> Network:
@@ -375,7 +373,6 @@ def _out_caterpillar(g: _Builder, attach: NodeId, targets: list[NodeId]) -> Node
     emits the final two targets. One target: direct edge. Returns the last
     spine node, or attach."""
     k = len(targets)
-    assert k >= 1
     if k == 1:
         g.edges.add((attach, targets[0]))
         return attach
@@ -392,7 +389,6 @@ def _out_caterpillar(g: _Builder, attach: NodeId, targets: list[NodeId]) -> Node
 def _in_caterpillar(g: _Builder, sources: list[NodeId], sink: NodeId) -> None:
     """Mirror image: sources feed a spine that drains into sink."""
     k = len(sources)
-    assert k >= 1
     if k == 1:
         g.edges.add((sources[0], sink))
         return
@@ -403,6 +399,12 @@ def _in_caterpillar(g: _Builder, sources: list[NodeId], sink: NodeId) -> None:
         g.edges.add((sources[i], spine[i]))
     g.edges.add((sources[-1], spine[-1]))
     g.edges.add((spine[0], sink))
+
+
+def _check_same_leaves(n1: Network, n2: Network) -> tuple[Network, Network]:
+    if n1.leaf_universe != n2.leaf_universe:
+        raise SelfCheckFailed(f"reduction pair on {n1.leaf_universe} vs {n2.leaf_universe}")
+    return n1, n2
 
 
 def reduction_deg_bounded(inst: SetSplittingInstance) -> tuple[Network, Network, int]:
@@ -451,9 +453,7 @@ def reduction_deg_bounded(inst: SetSplittingInstance) -> tuple[Network, Network,
     g.edges.update([(s2, m_l2), (s2, y2), (y2, b2), (a2, b2)])
     g.edges.add((_out_caterpillar(g, a2, m_ls), m_l1p))
     g.edges.add((_out_caterpillar(g, b2, m_lsp), m_l2p))
-    n2 = g.network()
-    assert n1.leaf_universe == n2.leaf_universe
-    return n1, n2, 3
+    return _check_same_leaves(n1, g.network()) + (3,)
 
 
 def deg_bounded_target(inst: SetSplittingInstance) -> Network:
@@ -499,9 +499,7 @@ def reduction_five_leaves(inst: SetSplittingInstance) -> tuple[Network, Network,
                 g.edges.add((u_s[i], t_x[j]))
                 g.edges.add((t_x[j], v_s[i]))
     n1 = g.network()
-    n2 = five_leaves_target()
-    assert n1.leaf_universe == n2.leaf_universe
-    return n1, n2, 4
+    return _check_same_leaves(n1, five_leaves_target()) + (4,)
 
 
 def five_leaves_target() -> Network:

@@ -65,6 +65,11 @@ def test_splitmix64_randrange_bounds():
     rng = SplitMix64(7)
     vals = [rng.randrange(5) for _ in range(200)]
     assert set(vals) == {0, 1, 2, 3, 4}
+    for n in (0, -3):
+        with pytest.raises(InvalidParameters):
+            rng.randrange(n)
+    with pytest.raises(InvalidParameters):
+        rng.randint(5, 3)
 
 
 def test_splitmix64_shuffle_and_sample_frozen():

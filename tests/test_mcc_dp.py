@@ -1,9 +1,11 @@
 """Polynomial solver on weakly galled trees, checked against the brute oracle."""
 
+import ast
 import hashlib
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -454,6 +456,57 @@ def test_random_wgt_self_checks_survive_python_O():
         "SelfCheckFailed random_wgt(12, 4, 0)",
         "SelfCheckFailed random_wgt(40, 6, 1)",
     ]
+
+
+GENERATOR_CHECK_SCRIPT = """
+import sys
+import phylocontract.generators as generators
+from phylocontract import parse_enewick
+from phylocontract.errors import SelfCheckFailed
+
+print(f"optimize={sys.flags.optimize}")
+inst = generators.parse_set_splitting("a b\\na b\\n")
+plants = [
+    ("is_weakly_galled", lambda n: False, generators.diameter_pair, (4, 2, 5)),
+    ("is_weakly_galled", lambda n: False, generators.diameter_pair, (7, 8, 2)),
+    ("validate", lambda edges, labels: parse_enewick("(1,2,3,4);"), generators.diameter_pair, (4, 2, 2)),
+    ("five_leaves_target", lambda: parse_enewick("(l1,l2);"), generators.reduction_five_leaves, (inst,)),
+]
+for name, planted, f, args in plants:
+    real = getattr(generators, name)
+    setattr(generators, name, planted)
+    try:
+        print("returned", f(*args))
+    except SelfCheckFailed as exc:
+        print(name, exc)
+    setattr(generators, name, real)
+"""
+
+
+def test_generator_self_checks_survive_python_O():
+    # The checks that guard generator output: both chain builders'
+    # weak-galledness (root-leaf chain, then path chain), _finish's
+    # internal-node count and the reductions' shared leaf set.
+    built = "chain construction built <Network nodes={} internal={} leaves={} retics=1>"
+    assert _run_optimized(GENERATOR_CHECK_SCRIPT) == [
+        "optimize=1",
+        f"is_weakly_galled {built.format(9, 5, 4)}, not a weakly galled tree",
+        f"is_weakly_galled {built.format(15, 8, 7)}, not a weakly galled tree",
+        "validate built 1 internal nodes, expected 2",
+        "five_leaves_target reduction pair on ('l1', 'l2', 'l3', 'l4', 'l4p') vs ('l1', 'l2')",
+    ]
+
+
+def test_package_has_no_assert_statements():
+    # python -O strips assert statements, so a check that guards output
+    # must raise instead; none may come back as an assert.
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(Path(mcc_dp.__file__).parent.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []
 
 
 EDIT_OPS_CHECK_SCRIPT = """
