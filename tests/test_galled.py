@@ -34,7 +34,7 @@ from phylocontract.generators import (
     reduction_deg_bounded,
     reduction_five_leaves,
 )
-from phylocontract.mcc_dp import apply_rules
+from phylocontract.mcc_dp import _Solver, apply_rules
 from phylocontract.network_core import is_acyclic, validate
 from tests.conftest import G1_TEXT, STAR3_TEXT, T3A_TEXT, T3B_TEXT, gen_wgt, perturb
 from tests.test_acceptance import _all_small_instances
@@ -188,6 +188,22 @@ def test_rules_require_equal_universes(t3a):
     other = parse_enewick("((1,2),4);")
     with pytest.raises(LeafSetMismatch):
         apply_rules(t3a, other)
+
+
+def test_firings_follow_the_schedule():
+    # The digest below reaches the same fixed point under any firing order,
+    # so the order itself is checked here: Rule 1 before Rule 2, network 1
+    # before network 2, lowest node first, on each pair's root compositions.
+    both_rules = both_sides = 0
+    for n1, n2 in _rules_digest_pairs():
+        solver = _Solver(n1, n2)
+        comps = tuple(nd.decompose(nd.n.root) for nd in solver.nd)
+        rule = {(s, z): r for s in (0, 1) for z, r, *_ in solver.candidates(s, comps[s])}
+        order = [(rule[s, z], s, z) for s, z, _, _ in solver.firings(*comps)]
+        assert order == sorted(order)
+        both_rules += len({r for r, _, _ in order}) == 2
+        both_sides += len({s for _, s, _ in order}) == 2
+    assert both_rules >= 72 and both_sides >= 125  # as counted when written
 
 
 def test_rules_take_solves_input_contract(t3b):
