@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+import warnings
 from pathlib import Path
 
 import pytest
@@ -19,9 +21,11 @@ from phylocontract import (
 from phylocontract.errors import (
     DuplicateHybridDefinition,
     DuplicateLabel,
+    PhyloError,
     SyntaxError,
     UnresolvedHybridTag,
 )
+from phylocontract.generators import SplitMix64
 from tests.conftest import gen_wgt
 
 FIXDIR = Path(__file__).parent / "fixtures"
@@ -171,3 +175,52 @@ def test_random_wgt_round_trips_both_formats(seed):
     n = gen_wgt(3 + seed % 6, seed % 3, seed)
     assert is_isomorphic(n, parse_enewick(write_enewick(n)))
     assert is_isomorphic(n, parse_edgelist(write_edgelist(n)))
+
+
+def _parser_corpus():
+    """Seeded eNewick texts: the fixtures, random weakly galled trees, and
+    criterion-10-style character mutations of both plus a few seeds with
+    labels, internal labels and branch lengths."""
+    texts = [path.read_text() for path in sorted(FIXDIR.glob("*.nwk"))]
+    rng = SplitMix64(14_001)
+    for _ in range(120):
+        leaves = rng.randint(3, 40)
+        n = gen_wgt(leaves, rng.randint(0, leaves // 6), rng.randrange(1 << 30))
+        texts.append(write_enewick(n))
+    seeds = texts[:30] + [
+        "((a:1,b:2.5)x:3,(c)#H1,(#H1,d)e);",
+        "((1,2)#H1,(x#H1,3));",
+        "('a b',(c,'d''e'):0.5);",
+    ]
+    yield from texts
+    alphabet = "(),;#H0123456789ab:'. \n"
+    for _ in range(4000):
+        chars = list(seeds[rng.randrange(len(seeds))])
+        for _ in range(rng.randint(1, 4)):
+            op = rng.randrange(3)
+            pos = rng.randrange(max(1, len(chars)))
+            ch = alphabet[rng.randrange(len(alphabet))]
+            if op == 0 and chars:
+                chars[pos] = ch
+            elif op == 1:
+                chars.insert(pos, ch)
+            elif op == 2 and len(chars) > 1:
+                del chars[pos]
+        yield "".join(chars)
+
+
+def test_parser_digest_is_frozen():
+    # One SHA-256 over the outcome of parsing every corpus text: the edge
+    # list (node ids included, which --witness, star and --format edgelist
+    # print) or the error code and message (positions included). Recorded
+    # before the parser moved onto an explicit stack.
+    h = hashlib.sha256()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        for text in _parser_corpus():
+            try:
+                out = write_edgelist(parse_enewick(text))
+            except PhyloError as exc:
+                out = f"{exc.code}: {exc}"
+            h.update(out.encode() + b"\0")
+    assert h.hexdigest() == "f73973fe42b9d8aa759207930f9ba3b04e1a2027909698000fcfe5bc39b766e6"
