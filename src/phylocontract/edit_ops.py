@@ -27,6 +27,7 @@ from .errors import (
     KeyMismatch,
     LeafSetMismatch,
     NotAnEdge,
+    PhyloError,
     SelfCheckFailed,
 )
 from .network_core import Network, NodeId, topological_order, validate
@@ -176,7 +177,7 @@ def expand(n: Network, e: Expansion) -> Network:
     edges = [(x, y) for x, ys in succ.items() for y in ys]
     try:
         return validate(edges, dict(n.leaf_label), nodes=succ.keys())
-    except Exception as exc:  # noqa: BLE001 - report the precise violation
+    except PhyloError as exc:  # report the precise violation
         raise InadmissibleExpansion(f"expansion result invalid: {exc}") from exc
 
 

@@ -25,6 +25,7 @@ from phylocontract import (
     validate_witness,
     witness_to_sequence,
 )
+from phylocontract import edit_ops
 from phylocontract.errors import InadmissibleContraction, NotAnEdge
 from tests.conftest import gen_wgt
 
@@ -108,6 +109,21 @@ def test_expansion_inverts_contraction(g1):
     after = contract(before, c)
     back = expand(after, e)
     assert is_isomorphic(back, before)
+
+
+def test_expand_passes_on_what_is_not_a_violation(g1, monkeypatch):
+    # Only a PhyloError from validate makes an expansion inadmissible; running
+    # out of memory, or a bug, must not be reported as one.
+    c = Contraction(g1.root, leafparent(g1, "2"), 77)
+    e = inverse_expansion(g1, c)
+    after = contract(g1, c)
+
+    def exhaust(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(edit_ops, "validate", exhaust)
+    with pytest.raises(MemoryError):
+        expand(after, e)
 
 
 @settings(max_examples=25, deadline=None)
