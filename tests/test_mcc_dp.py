@@ -509,6 +509,33 @@ def test_package_has_no_assert_statements():
     assert found == []
 
 
+def test_every_error_class_is_constructed():
+    # An error class that no other module constructs is a dead error code.
+    # Calls are matched through `from .errors import X as Y` aliases.
+    package = Path(mcc_dp.__file__).parent
+    errors = ast.parse((package / "errors.py").read_text())
+    defined = {node.name for node in errors.body if isinstance(node, ast.ClassDef)}
+    constructed = set()
+    for path in sorted(package.glob("*.py")):
+        if path.name == "errors.py":
+            continue
+        tree = ast.parse(path.read_text(), str(path))
+        names = {
+            alias.asname or alias.name: alias.name
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module == "errors"
+            for alias in node.names
+        }
+        constructed.update(
+            names[node.func.id]
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Name)
+            and node.func.id in names
+        )
+    assert sorted(defined - constructed - {"PhyloError"}) == []
+
+
 EDIT_OPS_CHECK_SCRIPT = """
 import sys
 from phylocontract import parse_enewick
