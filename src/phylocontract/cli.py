@@ -26,7 +26,6 @@ from .errors import (
     Degree2Node,
     InvalidParameters,
     LeafSetMismatch,
-    NestingTooDeep,
     NotWeaklyGalled,
     OutOfMemory,
     PhyloError,
@@ -353,14 +352,10 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except RecursionError:
-        # Only the eNewick parser still recurses, once per nesting level;
-        # past Python's limit the input is refused.
-        error: PhyloError = NestingTooDeep("input is nested too deeply to process")
     except MemoryError:
-        # A large input can exhaust memory (the DP's node-indexed bitmasks
-        # grow quadratically with depth); it is refused like any other.
-        error = OutOfMemory("not enough memory to process the input")
+        # Nothing recurses, so only memory bounds depth (the DP's bitmasks
+        # grow quadratically with it); such input is refused like any other.
+        error: PhyloError = OutOfMemory("not enough memory to process the input")
     except PhyloError as exc:
         error = exc
     except OSError as exc:

@@ -103,10 +103,6 @@ class BudgetExhausted(PhyloError):
     pass
 
 
-class NestingTooDeep(PhyloError):
-    """The input nests deeper than the recursive traversals can follow."""
-
-
 class OutOfMemory(PhyloError):
     """The input needs more memory than the process could allocate."""
 

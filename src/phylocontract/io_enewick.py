@@ -140,59 +140,67 @@ class _Parser:
         self.labels[u] = label
 
     def subtree(self) -> NodeId:
-        kind, value, pos = self.tok
-        if kind == "(":
-            self.advance()
-            children = [self.subtree()]
-            while self.tok[0] == ",":
+        """One loop: "(" opens a group; each finished node (a leaf, a hybrid
+        reference, or a group at its ")") joins the innermost open group."""
+        groups: list[list[NodeId]] = []  # children so far of each open "("
+        while True:
+            kind, value, pos = self.tok
+            if kind == "(":
                 self.advance()
-                children.append(self.subtree())
-            self.expect(")")
-            label = None
-            if self.tok[0] == "label":
-                label = self.tok[1]
+                groups.append([])
+                continue
+            if kind == "label":
                 self.advance()
-            if self.tok[0] == "hybrid":
-                tag = self.tok[1]
-                tag_pos = self.tok[2]
+                if self.tok[0] == "hybrid":
+                    tag = self.tok[1]
+                    self.advance()
+                    node = self.hybrid(tag)
+                    self.set_label(node, value, pos)
+                else:
+                    node = self.fresh()
+                    self.labels[node] = value
+            elif kind == "hybrid":
                 self.advance()
-                node = self.hybrid(tag)
-                if tag in self.hybrid_defined:
-                    raise DuplicateHybridDefinition(f"#H{tag}")
-                self.hybrid_defined.add(tag)
-                if label is not None:
-                    self.set_label(node, label, tag_pos)
+                node = self.hybrid(value)
             else:
-                node = self.fresh()  # internal_label, if any, is dropped
-            for c in children:
-                self.edges.add((node, c))
-        elif kind == "label":
-            self.advance()
-            if self.tok[0] == "hybrid":
-                tag = self.tok[1]
-                self.advance()
-                node = self.hybrid(tag)
-                self.set_label(node, value, pos)
-            else:
-                node = self.fresh()
-                self.labels[node] = value
-        elif kind == "hybrid":
-            self.advance()
-            node = self.hybrid(value)
-        else:
-            raise self.lexer.error(f"unexpected token {value!r}", pos)
-        if self.tok[0] == ":":
-            self.advance()
-            num_kind, num, num_pos = self.tok
-            try:
-                length = float(num) if num_kind == "label" else None
-            except ValueError:
-                length = None
-            if length is None:
-                raise self.lexer.error("expected branch length after ':'", num_pos)
-            self.advance()
-            warnings.warn(f"branch length {num} discarded", stacklevel=4)
-        return node
+                raise self.lexer.error(f"unexpected token {value!r}", pos)
+            while True:
+                if self.tok[0] == ":":
+                    self.advance()
+                    num_kind, num, num_pos = self.tok
+                    try:
+                        length = float(num) if num_kind == "label" else None
+                    except ValueError:
+                        length = None
+                    if length is None:
+                        raise self.lexer.error("expected branch length after ':'", num_pos)
+                    self.advance()
+                    warnings.warn(f"branch length {num} discarded", stacklevel=4)
+                if not groups:
+                    return node
+                groups[-1].append(node)
+                if self.tok[0] == ",":
+                    self.advance()
+                    break
+                self.expect(")")
+                label = None
+                if self.tok[0] == "label":
+                    label = self.tok[1]
+                    self.advance()
+                if self.tok[0] == "hybrid":
+                    tag = self.tok[1]
+                    tag_pos = self.tok[2]
+                    self.advance()
+                    node = self.hybrid(tag)
+                    if tag in self.hybrid_defined:
+                        raise DuplicateHybridDefinition(f"#H{tag}")
+                    self.hybrid_defined.add(tag)
+                    if label is not None:
+                        self.set_label(node, label, tag_pos)
+                else:
+                    node = self.fresh()  # internal_label, if any, is dropped
+                for c in groups.pop():
+                    self.edges.add((node, c))
 
     def network(self) -> Network:
         self.subtree()

@@ -35,8 +35,8 @@ rebuilds the witness partitions and the common contraction itself.
 
 Evaluation and traceback run on explicit stacks: each recurrence is a
 generator that yields the sub-entries it needs to one memo driver, so
-neither depends on Python's recursion limit. Of the whole package, only the
-eNewick parser can still end in `NestingTooDeep`.
+neither depends on Python's recursion limit; nor does any other part of the
+package, the eNewick parser included.
 
 Where a recurrence chooses among alternatives, the choice is the first
 strict minimum in a fixed order, but not every alternative is evaluated:

@@ -411,4 +411,34 @@ def test_criterion_10_parser_round_trip_and_fuzz():
                 pass
             except Exception as exc:  # noqa: BLE001 - the fuzz contract itself
                 failures.append((repr(text), type(exc).__name__, str(exc)))
+
+        # Deep nesting: 1200 levels, past Python's default recursion limit,
+        # above a reticulation, a quoted label and a branch length.
+        rng = SplitMix64(10_003)
+        deep = (
+            "(" * 1200
+            + "((0)#H1,'x y'),(#H1,z:0.5)"
+            + "".join(f",{i})" for i in range(1, 1201))
+            + ";"
+        )
+        parse_enewick(deep)
+        for _ in range(300):
+            chars = list(deep)
+            for _ in range(rng.randint(1, 4)):
+                op = rng.randrange(3)
+                pos = rng.randrange(len(chars))
+                ch = alphabet[rng.randrange(len(alphabet))]
+                if op == 0:
+                    chars[pos] = ch
+                elif op == 1:
+                    chars.insert(pos, ch)
+                else:
+                    del chars[pos]
+            text = "".join(chars)
+            try:
+                parse_enewick(text)
+            except PhyloError:
+                pass
+            except Exception as exc:  # noqa: BLE001 - the fuzz contract itself
+                failures.append((text[:40] + "...", type(exc).__name__, str(exc)))
     _finish(10, failures, t0, 120.0)

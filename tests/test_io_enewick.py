@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import hashlib
+import time
 import warnings
 from pathlib import Path
 
@@ -84,6 +85,41 @@ def test_branch_lengths_discarded_with_warning():
     with pytest.warns(UserWarning):
         n = parse_enewick("((1:0.5,2:1.2):3.0,3:0.1);")
     assert write_enewick(n) == "((1,2),3);"
+
+
+@pytest.mark.parametrize("depth", [1, 2, 3, 1200])
+def test_branch_length_warning_names_the_caller(depth):
+    text = "(a:1,b)"
+    for i in range(1, depth):
+        text = f"({text},{i})"
+    with pytest.warns(UserWarning, match="^branch length 1 discarded$") as record:
+        parse_enewick(text + ";")
+    assert [w.filename for w in record] == [__file__]
+
+
+def _deep_text(bottom: str, first: int, depth: int) -> str:
+    # Canonical caterpillar text: `bottom` holds the lowest labels, so the
+    # writer puts it first at every level above it.
+    return "(" * depth + bottom + "".join(f",{i:05d})" for i in range(first, first + depth)) + ";"
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        _deep_text("00000", 1, 10**4),
+        _deep_text("((00000)#H1,00001),(#H1,00002)", 3, 10**4 - 1),
+    ],
+    ids=["caterpillar", "reticulation_at_bottom"],
+)
+def test_deep_text_round_trips(text):
+    # 10^4 nesting levels, past the recursion limit: parse and write both
+    # run on explicit stacks.
+    start = time.perf_counter()
+    n = parse_enewick(text)
+    assert write_enewick(n) == text
+    assert time.perf_counter() - start < 10.0
+    assert n.num_internal == text.count("(")
+    assert len(n.reticulations()) == text.count("#H") // 2
 
 
 def test_single_child_groups_parse():
