@@ -83,6 +83,24 @@ def perturb(n, k: int, seed: int):
     return n
 
 
+def mutate(rng, text: str) -> str:
+    """Criterion 10's fuzz step: one to four random character replacements,
+    insertions or deletions drawn from rng."""
+    alphabet = "(),;#H0123456789ab:'. \n"
+    chars = list(text)
+    for _ in range(rng.randint(1, 4)):
+        op = rng.randrange(3)
+        pos = rng.randrange(max(1, len(chars)))
+        ch = alphabet[rng.randrange(len(alphabet))]
+        if op == 0 and chars:
+            chars[pos] = ch
+        elif op == 1:
+            chars.insert(pos, ch)
+        elif op == 2 and len(chars) > 1:
+            del chars[pos]
+    return "".join(chars)
+
+
 def caterpillar_edgelist(leaves: int) -> str:
     """Edge list of a caterpillar: a chain of leaves - 1 internal nodes, one
     leaf per level and two at the bottom."""

@@ -14,7 +14,7 @@ import warnings
 from collections import defaultdict, deque
 from pathlib import Path
 
-from conftest import gen_wgt, perturb
+from conftest import gen_wgt, mutate, perturb
 from phylocontract.edit_ops import (
     Contraction,
     WitnessStructure,
@@ -389,56 +389,23 @@ def test_criterion_10_parser_round_trip_and_fuzz():
         "('sp. one','two''s',three);",
         "((1));",
     ]
-    alphabet = "(),;#H0123456789ab:'. \n"
+    # Deep nesting: 1200 levels, past Python's default recursion limit, above
+    # a reticulation, a quoted label and a branch length; its own stream.
+    deep = "(" * 1200 + "((0)#H1,'x y'),(#H1,z:0.5)"
+    deep += "".join(f",{i})" for i in range(1, 1201)) + ";"
+    deep_rng = SplitMix64(10_003)
+    fuzz = itertools.chain(
+        (mutate(rng, seeds[rng.randrange(len(seeds))]) for _ in range(10_000)),
+        (mutate(deep_rng, deep) for _ in range(300)),
+    )
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        for _ in range(10_000):
-            chars = list(seeds[rng.randrange(len(seeds))])
-            for _ in range(rng.randint(1, 4)):
-                op = rng.randrange(3)
-                pos = rng.randrange(max(1, len(chars)))
-                ch = alphabet[rng.randrange(len(alphabet))]
-                if op == 0 and chars:
-                    chars[pos] = ch
-                elif op == 1:
-                    chars.insert(pos, ch)
-                elif op == 2 and len(chars) > 1:
-                    del chars[pos]
-            text = "".join(chars)
-            try:
-                parse_enewick(text)
-            except PhyloError:
-                pass
-            except Exception as exc:  # noqa: BLE001 - the fuzz contract itself
-                failures.append((repr(text), type(exc).__name__, str(exc)))
-
-        # Deep nesting: 1200 levels, past Python's default recursion limit,
-        # above a reticulation, a quoted label and a branch length.
-        rng = SplitMix64(10_003)
-        deep = (
-            "(" * 1200
-            + "((0)#H1,'x y'),(#H1,z:0.5)"
-            + "".join(f",{i})" for i in range(1, 1201))
-            + ";"
-        )
         parse_enewick(deep)
-        for _ in range(300):
-            chars = list(deep)
-            for _ in range(rng.randint(1, 4)):
-                op = rng.randrange(3)
-                pos = rng.randrange(len(chars))
-                ch = alphabet[rng.randrange(len(alphabet))]
-                if op == 0:
-                    chars[pos] = ch
-                elif op == 1:
-                    chars.insert(pos, ch)
-                else:
-                    del chars[pos]
-            text = "".join(chars)
+        for text in fuzz:
             try:
                 parse_enewick(text)
             except PhyloError:
                 pass
             except Exception as exc:  # noqa: BLE001 - the fuzz contract itself
-                failures.append((text[:40] + "...", type(exc).__name__, str(exc)))
+                failures.append((repr(text[:200]), type(exc).__name__, str(exc)))
     _finish(10, failures, t0, 120.0)

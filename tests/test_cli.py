@@ -90,7 +90,7 @@ def test_deep_input_is_answered(files, capsys, cmd):
     # 1200 nesting levels pass Python's default recursion limit; nothing
     # recurses per level, so the input gets its answer. `star` is left out
     # on purpose: witness_to_sequence is quadratic in the internal nodes, so
-    # it takes about 15 s here.
+    # it takes about 13 s here.
     expected = {
         "validate": "nodes=2401 internal=1200 leaves=1201 reticulations=0 weakly_galled=true\n",
         "mcc wgt": "delta=0 common_size=1200\n",

@@ -27,7 +27,7 @@ from phylocontract.errors import (
     UnresolvedHybridTag,
 )
 from phylocontract.generators import SplitMix64
-from tests.conftest import gen_wgt
+from tests.conftest import gen_wgt, mutate
 
 FIXDIR = Path(__file__).parent / "fixtures"
 
@@ -229,20 +229,8 @@ def _parser_corpus():
         "('a b',(c,'d''e'):0.5);",
     ]
     yield from texts
-    alphabet = "(),;#H0123456789ab:'. \n"
     for _ in range(4000):
-        chars = list(seeds[rng.randrange(len(seeds))])
-        for _ in range(rng.randint(1, 4)):
-            op = rng.randrange(3)
-            pos = rng.randrange(max(1, len(chars)))
-            ch = alphabet[rng.randrange(len(alphabet))]
-            if op == 0 and chars:
-                chars[pos] = ch
-            elif op == 1:
-                chars.insert(pos, ch)
-            elif op == 2 and len(chars) > 1:
-                del chars[pos]
-        yield "".join(chars)
+        yield mutate(rng, seeds[rng.randrange(len(seeds))])
 
 
 def test_parser_digest_is_frozen():
