@@ -133,16 +133,16 @@ def cmd_clades(args) -> int:
     idx = build_clade_index(n)
 
     def order(table):
-        return sorted(table, key=lambda bits: (bits.bit_count(), idx.labels(bits)))
+        """(size, labels, value) per clade value, by size then labels; each
+        value's labels are computed once."""
+        return sorted((bits.bit_count(), idx.labels(bits), bits) for bits in table)
 
-    for bits in order(idx.one_clades):
-        labs = ",".join(idx.labels(bits))
+    for _, labels, bits in order(idx.one_clades):
         nodes = ",".join(str(u) for u in idx.one_clades[bits])
-        print(f"one\t{labs}\t{nodes}")
-    for bits in order(idx.two_clades):
-        labs = ",".join(idx.labels(bits))
+        print(f"one\t{','.join(labels)}\t{nodes}")
+    for _, labels, bits in order(idx.two_clades):
         pairs = ",".join(f"{x}|{y}" for x, y in idx.two_clades[bits])
-        print(f"two\t{labs}\t{pairs}")
+        print(f"two\t{','.join(labels)}\t{pairs}")
     return 0
 
 

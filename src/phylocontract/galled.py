@@ -78,7 +78,7 @@ class CladeIndex:
     two_clades: dict[int, tuple[tuple[NodeId, NodeId], ...]] = field(default_factory=dict)
 
     def labels(self, bits: int) -> tuple[str, ...]:
-        return tuple(self.universe[i] for i in _label_indices(bits))
+        return tuple(map(self.universe.__getitem__, _label_indices(bits)))
 
 
 def has_degree2_node(n: Network) -> bool:

@@ -40,12 +40,24 @@ package, the eNewick parser included.
 
 Where a recurrence chooses among alternatives, the choice is the first
 strict minimum in a fixed order, but not every alternative is evaluated:
-each carries a lower bound, its own contraction charge, and they run
-cheapest bound first until no bound left can beat the best value or tie it
-at an earlier position. Memo values depend only on their keys and every
-sub-entry is strictly smaller than its entry, so the order of evaluation
-cannot change a value, and the stored choices, delta and witnesses are
-those of the exhaustive scan; only the memo tables shrink.
+each carries a lower bound, and they run cheapest bound first until no
+bound left can beat the best value or tie it at an earlier position. Every
+entry's value is c1 + c2 for a common contraction that makes c1 and c2
+contractions on materializations of I1 and I2 internal nodes, with
+I1 - c1 = I2 - c2. An alternative that makes f1 and f2 contractions itself
+therefore costs at least f1 + f2 + |(I1 - f1) - (I2 - f2)|: its own charge
+plus the internal-count imbalance left after it. A lateral split costs at
+least the imbalances of its two halves. Memo values depend only on their
+keys and every sub-entry is strictly smaller than its entry, so the order
+of evaluation cannot change a value, and the stored choices, delta and
+witnesses are those of the exhaustive scan; only the memo tables shrink.
+
+Subtrees the two networks share cost nothing to compare. Every internal
+node with no reticulation at or below it gets an id from an intern table
+both networks share, keyed by its clade and its internal children's ids,
+so equal ids mean equal subtrees. f_P answers 0 for two dangling subtrees
+with equal ids without opening them, and the traceback expands that answer
+into the parts the full recursion would open, in the same order.
 """
 
 from __future__ import annotations
@@ -75,7 +87,7 @@ class _NetData:
     and the witnesses behind has_value, all read off the network's clade
     index."""
 
-    def __init__(self, n: Network, idx: CladeIndex):
+    def __init__(self, n: Network, idx: CladeIndex, intern: dict):
         self.n = n
         self.d = idx.d
         node_list = sorted(n.succ)
@@ -99,6 +111,19 @@ class _NetData:
                 bits |= anc[p]
             anc[u] = bits
 
+        # An id per internal node with no reticulation at or below it, from
+        # the intern table both networks share, keyed by (clade, sorted ids
+        # of the internal children): equal ids mean equal clade sets, so
+        # the two subtrees are equal.
+        self.tree_id: dict[NodeId, int] = {}
+        for u in reversed(topo):
+            kids = n.succ[u]
+            if kids and len(n.pred[u]) < 2 and all(
+                c in self.tree_id or c in n.leaf_label for c in kids
+            ):
+                ids = tuple(sorted(self.tree_id[c] for c in kids if c in self.tree_id))
+                self.tree_id[u] = intern.setdefault((self.d[u], ids), len(intern))
+
         self.cycles = idx.cycles
         self.order: list[tuple[NodeId, ...]] = []
         self.pos: list[dict[NodeId, int]] = []
@@ -109,6 +134,7 @@ class _NetData:
         self.hang: dict[tuple[int, NodeId], int] = {}
         self.pref: list[list[list[int]]] = []  # [ci][side] -> prefix array
         self.pref_idx: list[list[dict[int, int]]] = []
+        self.ipref: list[list[list[int]]] = []  # [ci][side] -> internal-count prefixes
 
         for ci, c in enumerate(self.cycles):
             order = c.order
@@ -125,26 +151,33 @@ class _NetData:
             hb = c.side_b[0] if c.side_b else c.reticulation
             self.heads.append((ha, hb))
 
+            below = {}  # cycle node -> internal nodes in its hang
             for z in (*c.side_a, *c.side_b, c.reticulation):
                 on = self.on_child.get((ci, z))
-                h = 0
+                h = hang_nodes = 0
                 for ch in n.succ[z]:
                     if ch != on:
                         h |= self.d[ch]
+                        hang_nodes |= self.reach[ch]
                 self.hang[(ci, z)] = h
+                below[z] = (hang_nodes & self.internal_mask).bit_count()
 
             # Hangs are non-empty (no degree-2 nodes) and leaf-disjoint
             # (cycles are edge-disjoint), so the prefixes strictly grow and
-            # each prefix value names one position.
-            prefs, prefidx = [], []
+            # each prefix value names one position. ipref counts the
+            # internal nodes of a run: its side nodes and their hangs.
+            prefs, prefidx, iprefs = [], [], []
             for nodes in (c.side_a, c.side_b):
-                arr = [0]
+                arr, counts = [0], [0]
                 for z in nodes:
                     arr.append(arr[-1] | self.hang[(ci, z)])
+                    counts.append(counts[-1] + 1 + below[z])
                 prefs.append(arr)
                 prefidx.append({v: i for i, v in enumerate(arr)})
+                iprefs.append(counts)
             self.pref.append(prefs)
             self.pref_idx.append(prefidx)
+            self.ipref.append(iprefs)
 
         # Witnesses: one_wit maps a 1-clade value to the mask of its nodes;
         # two_wit maps a 2-clade value to (cycle, pos x, pos y, cycle root
@@ -316,6 +349,10 @@ class _NetData:
     def internal_count_below(self, u: NodeId) -> int:
         return (self.reach[u] & self.internal_mask).bit_count()
 
+    def prime_internal(self, p) -> int:
+        """Internal nodes of the prime's materialization, fresh root aside."""
+        return (self._scope(p)[0] & self.internal_mask).bit_count()
+
     def internals_below(self, u: NodeId) -> set[NodeId]:
         return set(self._nodes_of(self.reach[u] & self.internal_mask))
 
@@ -340,7 +377,8 @@ class _Solver:
             idx.append(build_clade_index(n))  # raises NotWeaklyGalled
             if idx[-1].has_degree2:
                 raise Degree2Node(repr(n))
-        self.nd = (_NetData(n1, idx[0]), _NetData(n2, idx[1]))
+        intern: dict = {}
+        self.nd = (_NetData(n1, idx[0], intern), _NetData(n2, idx[1], intern))
         self.fc_memo: dict = {}
         self.fp_memo: dict = {}
         self.fl_memo: dict = {}
@@ -522,6 +560,9 @@ class _Solver:
                 return nd2.internal_count_below(v), ("collapse2", v)
             if v_leaf:
                 return nd1.internal_count_below(u), ("collapse1", u)
+            tid = nd1.tree_id.get(u)
+            if tid is not None and tid == nd2.tree_id.get(v):
+                return 0, ("shared", u, v)
             pair = (nd1.decompose(u), nd2.decompose(v))
             return (yield "C", pair), ("pairnode", u, v, pair)
         if p1[0] == "D":
@@ -547,9 +588,10 @@ class _Solver:
         keep = ("c2keep", dside, u, window, keep_pair)
         con = ("c2contract", dside, u, con_pair)
         charge = len(window) - 1
+        i_u, i_c = nd_d.internal_count_below(u), nd_c.prime_internal(cp)
         alts = [
-            (charge, partial(self._sum, charge, [("C", keep_pair)], keep)),
-            (1, partial(self._sum, 1, [("C", con_pair)], con)),
+            (_bound(0, charge, i_u, i_c), partial(self._sum, charge, [("C", keep_pair)], keep)),
+            (_bound(1, 0, i_u, i_c), partial(self._sum, 1, [("C", con_pair)], con)),
         ]
         return (yield from self._first_min(alts))
 
@@ -560,14 +602,16 @@ class _Solver:
         nd1, nd2 = self.nd
         _, ci, u, v = p1
         _, cj, w, x = p2
+        i1, i2 = nd1.prime_internal(p1), nd2.prime_internal(p2)
         alts = []
         for s, prime, other in ((0, p1, p2), (1, p2, p1)):
             nd = self.nd[s]
             _, ck, a, b = prime
             t = nd.retic(ck)
+            bound = _bound(1 - s, s, i1, i2)  # one contraction, on side s
             for z in (nd.next_a(ck, a), nd.next_b(ck, b)):
                 if z != t:  # absorbing the reticulation closes a cycle
-                    alts.append((1, partial(self._contract_top, s, prime, other, z)))
+                    alts.append((bound, partial(self._contract_top, s, prime, other, z)))
 
         t1, t2 = nd1.retic(ci), nd2.retic(cj)
         win1 = nd1.window(ci, u, v)
@@ -586,8 +630,8 @@ class _Solver:
                 if nd2.d[t2] == target:
                     cands.append((t2, t2))
                 for c, dd in cands:
-                    cost = (p1pos[b] - p1pos[a]) + (p2pos[dd] - p2pos[c])
-                    alts.append((cost, partial(self._fB, p1, p2, a, b, c, dd)))
+                    bound = _bound(p1pos[b] - p1pos[a], p2pos[dd] - p2pos[c], i1, i2)
+                    alts.append((bound, partial(self._fB, p1, p2, a, b, c, dd)))
         return (yield from self._first_min(alts))
 
     def _contract_top(self, s: int, prime, other, z: NodeId):
@@ -617,10 +661,19 @@ class _Solver:
         straight = ((ra1, ra2), (rb1, rb2))
         cross = ((ra1, rb2), (rb1, ra2))
         lat, pairing = yield from self._first_min(
-            [(0, partial(self._sum, 0, [("L", q) for q in pr], pr)) for pr in (straight, cross)]
+            [
+                (self._imbalance(pr), partial(self._sum, 0, [("L", q) for q in pr], pr))
+                for pr in (straight, cross)
+            ]
         )
         total = _add(cost + bottom, lat)
         return total, ("b5", a, b, c, dd, (path1, path2, decs, pairing))
+
+    def _imbalance(self, run_pairs) -> int:
+        """Lower bound on the fL values of run pairs: their internal-count
+        imbalances."""
+        nd1, nd2 = self.nd
+        return sum(abs(_run_internal(nd1, r1) - _run_internal(nd2, r2)) for r1, r2 in run_pairs)
 
     def fL(self, r1, r2):
         nd1, nd2 = self.nd
@@ -644,10 +697,12 @@ class _Solver:
             k2 = got - 1
             if not (lo2 <= k2 < hi2):
                 continue
-            subs = [("L", pair) for pair in _split(r1, r2, k, k2)]
-            alts.append((0, partial(self._sum, 0, subs, ("split", k, k2))))
+            halves = _split(r1, r2, k, k2)
+            subs = [("L", pair) for pair in halves]
+            alts.append((self._imbalance(halves), partial(self._sum, 0, subs, ("split", k, k2))))
         charge = (hi1 - lo1) + (hi2 - lo2)
-        alts.append((charge, partial(self._fullrun, r1, r2, charge)))
+        bound = _bound(hi1 - lo1, hi2 - lo2, _run_internal(nd1, r1), _run_internal(nd2, r2))
+        alts.append((bound, partial(self._fullrun, r1, r2, charge)))
         return (yield from self._first_min(alts))
 
     def _fullrun(self, r1, r2, charge: int):
@@ -663,7 +718,9 @@ class _Solver:
     def _decode(self, table: str, key: tuple):
         """(nodes 1, nodes 2, opens a part, sub-entries) of a memoized choice.
         Nodes go to the part the choice opens, else to the nearest enclosing
-        one."""
+        one. Table "S" holds no entries: its keys are shared subtree pairs."""
+        if table == "S":
+            return self._shared(*key)
         val, choice = self.memos[table][key]
         if val == INF or choice is None:
             raise SelfCheckFailed(f"traceback reached an unsolved {table} entry")
@@ -680,6 +737,8 @@ class _Solver:
             return self.nd[0].internals_below(choice[1]), (), False, ()
         if tag == "collapse2":
             return (), self.nd[1].internals_below(choice[1]), False, ()
+        if tag == "shared":
+            return self._shared(choice[1], choice[2])
         if tag == "pairnode":
             _, u, v, pair = choice
             return (u,), (v,), True, (("C", pair),)
@@ -697,6 +756,16 @@ class _Solver:
             _, nodes1, nodes2, decs = choice
             return nodes1, nodes2, True, (("C", decs),)
         raise AssertionError(tag)
+
+    def _shared(self, u: NodeId, v: NodeId):
+        """A shared subtree pair, decoded into the parts the pairnode ->
+        match -> leafleaf chain would open: u with v, then their internal
+        children paired by clade, ascending."""
+        kids = [
+            sorted((c for c in nd.n.succ[w] if c in nd.tree_id), key=nd.d.__getitem__)
+            for nd, w in zip(self.nd, (u, v))
+        ]
+        return (u,), (v,), True, tuple(("S", pair) for pair in zip(*kids))
 
     def _trace(self, k1: tuple, k2: tuple) -> list[tuple[set, set]]:
         """Witness parts in pre-order of the choices that open them; the
@@ -750,6 +819,14 @@ class _Solver:
         )
 
 
+def _bound(f1: int, f2: int, i1: int, i2: int) -> int:
+    """Lower bound on an alternative that makes f1 and f2 contractions on
+    materializations of i1 and i2 internal nodes: a common contraction
+    leaves both sides with equal internal counts, so the rest costs at
+    least the imbalance that remains."""
+    return f1 + f2 + abs((i1 - f1) - (i2 - f2))
+
+
 def _add(a, b):
     if a == INF or b == INF:
         return INF
@@ -774,6 +851,14 @@ def _run_union(nd: _NetData, run) -> int:
     ci, side, lo, hi = run
     pref = nd.pref[ci][side]
     return pref[hi + 1] ^ pref[lo]
+
+
+def _run_internal(nd: _NetData, run) -> int:
+    if run is None:
+        return 0
+    ci, side, lo, hi = run
+    count = nd.ipref[ci][side]
+    return count[hi + 1] - count[lo]
 
 
 def _split(r1, r2, k: int, k2: int):

@@ -10,6 +10,7 @@ cannot handle them reject networks explicitly.
 from __future__ import annotations
 
 import heapq
+from itertools import compress
 from typing import Iterable, Mapping
 
 from .errors import (
@@ -222,15 +223,20 @@ def is_acyclic(n: Network) -> bool:
     return True
 
 
+_DIGIT_FLAGS = bytes.maketrans(b"01", b"\x00\x01")
+
+
 def _label_indices(bits: int) -> tuple[int, ...]:
     """Indices of a clade value's set bits, ascending. leaf_universe is
-    sorted, so these tuples order clades like their sorted label tuples."""
-    idx = []
-    while bits:
-        low = bits & -bits
-        idx.append(low.bit_length() - 1)
-        bits ^= low
-    return tuple(idx)
+    sorted, so these tuples order clades like their sorted label tuples.
+    One pass over the binary digits from the lowest set bit to the highest:
+    linear in the value's width, not in its popcount times its width."""
+    if not bits:
+        return ()
+    low = (bits & -bits).bit_length() - 1
+    # flag i is 1 when index low + i is set
+    flags = format(bits >> low, "b")[::-1].encode().translate(_DIGIT_FLAGS)
+    return tuple(compress(range(low, low + len(flags)), flags))
 
 
 def topological_order(n: Network) -> list[NodeId]:

@@ -1,5 +1,6 @@
 """Command-line surface: outputs, exit codes, and the error channel."""
 
+import bisect
 import json
 import subprocess
 import sys
@@ -73,15 +74,17 @@ def _caterpillar(depth: int) -> str:
     return text + ";"
 
 
-def _deep_clades() -> str:
-    # In _caterpillar(1200), leaf i is node 2i - 1 (leaf 0 is node 0) and the
+def _deep_clades(depth: int = 1200) -> str:
+    # In _caterpillar(depth), leaf i is node 2i - 1 (leaf 0 is node 0) and the
     # group closed after leaf i is node 2i, with clade {0, ..., i}.
     lines = [
         f"one\t{x}\t{2 * int(x) - 1 if x != '0' else 0}"
-        for x in sorted(str(i) for i in range(1201))
+        for x in sorted(str(i) for i in range(depth + 1))
     ]
-    for i in range(1, 1201):
-        lines.append(f"one\t{','.join(sorted(str(j) for j in range(i + 1)))}\t{2 * i}")
+    labels = ["0"]
+    for i in range(1, depth + 1):
+        bisect.insort(labels, str(i))
+        lines.append(f"one\t{','.join(labels)}\t{2 * i}")
     return "\n".join(lines) + "\n"
 
 
@@ -100,6 +103,22 @@ def test_deep_input_is_answered(files, capsys, cmd):
     path = files("deep.nwk", _caterpillar(1200))
     argv = cmd.split() + [path] * (2 if cmd in ("mcc wgt", "iso") else 1)
     assert run(capsys, argv) == (0, expected[cmd], "")
+
+
+def test_clades_of_a_deep_caterpillar_finish(files):
+    # Each clade's labels must cost one pass over its value's width, or this
+    # listing grows with the cube of the depth. The timeout only guards
+    # against a hang.
+    path = files("deep.nwk", _caterpillar(3000))
+    proc = subprocess.run(
+        [sys.executable, "-m", "phylocontract", "clades", path],
+        env=src_env(),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == _deep_clades(3000)
 
 
 def test_memory_error_exits_two(files, capsys, monkeypatch):

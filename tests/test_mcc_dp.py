@@ -206,18 +206,19 @@ def test_stats_identical_pair_exercises_leaf_table():
 # bytes `mcc wgt --emit/--witness` writes. The pairs are beyond the oracle's
 # reach, so these values are their only reference: deltas and digests were
 # recorded from the solver that built a clade set per prime, entry counts
-# from the one that skips alternatives whose lower bound already loses.
+# from the one that answers shared subtrees at once and skips alternatives
+# whose internal-count bound already loses.
 FROZEN = [
-    ((20, 2, 11, 3), (3, 41, 32, 17, "cfd8e7a363572cc3", "31695a9d16a18d39")),
+    ((20, 2, 11, 3), (3, 27, 25, 10, "cfd8e7a363572cc3", "31695a9d16a18d39")),
     ((24, 3, 21, 0), (41, 41, 25, 0, "754a24c226ea592b", "2f77d21535c4d890")),
-    ((34, 3, 12, 10), (10, 163, 64, 38, "164754dbbd67c4b8", "39df91d26de7dcf8")),
-    ((48, 4, 13, 5), (5, 97, 81, 40, "2c35d99253889607", "3bd38115f3f7b1af")),
+    ((34, 3, 12, 10), (10, 99, 54, 14, "164754dbbd67c4b8", "39df91d26de7dcf8")),
+    ((48, 4, 13, 5), (5, 60, 51, 21, "2c35d99253889607", "3bd38115f3f7b1af")),
     ((60, 5, 14, 0), (95, 89, 60, 0, "76d98ab49c119232", "176bf46005c9bb34")),
-    ((72, 2, 15, 4), (4, 224, 141, 64, "5f110b45be4be341", "8edf87226636e02f")),
-    ((85, 3, 16, 12), (12, 259, 143, 85, "3c98d40575a655fa", "0d4cab98276b3b08")),
-    ((96, 4, 17, 6), (6, 154, 156, 34, "2ca1857e6e832797", "185e18f9d8b0b322")),
+    ((72, 2, 15, 4), (4, 128, 67, 25, "5f110b45be4be341", "8edf87226636e02f")),
+    ((85, 3, 16, 12), (12, 121, 80, 15, "3c98d40575a655fa", "0d4cab98276b3b08")),
+    ((96, 4, 17, 6), (6, 97, 72, 19, "2ca1857e6e832797", "185e18f9d8b0b322")),
     ((108, 5, 18, 0), (154, 147, 108, 0, "6d1e4e0f410fd144", "90db0c592e5a8055")),
-    ((120, 3, 19, 2), (2, 210, 210, 69, "533ce2d903699fc2", "bdd15fd623f60f9f")),
+    ((120, 3, 19, 2), (2, 107, 67, 30, "533ce2d903699fc2", "bdd15fd623f60f9f")),
     ((30, 5, 20, 0), (56, 50, 30, 0, "fd20c8da0a26d4c8", "a378b194eaf59c57")),
 ]
 
@@ -290,6 +291,93 @@ def test_output_digest_is_frozen():
     assert h.hexdigest() == "b70fd1c1e5fa33bda7f9c6338f78efaace924923ba06ab55733772d5b23038a7"
 
 
+# -- lower bounds and shared subtrees -------------------------------------------
+
+
+def _internals(n, heads) -> int:
+    """Internal nodes reachable from heads."""
+    seen, stack = set(heads), list(heads)
+    while stack:
+        for c in n.succ[stack.pop()]:
+            if c not in seen:
+                seen.add(c)
+                stack.append(c)
+    return sum(1 for u in seen if n.succ[u])
+
+
+def _comp_internals(nd, comp) -> int:
+    heads = []
+    for p in comp:
+        if p[0] == "D":
+            heads.append(p[1])
+        else:
+            _, ci, u, v = p
+            heads += [nd.next_a(ci, u), nd.next_b(ci, v)]
+    return _internals(nd.n, heads)
+
+
+def _run_internals(nd, run) -> int:
+    """A lateral run's side nodes and everything hanging off them."""
+    if run is None:
+        return 0
+    ci, side, lo, hi = run
+    c = nd.cycles[ci]
+    path = [*(c.side_a if side == 0 else c.side_b), c.reticulation]
+    nodes = path[lo : hi + 1]
+    hangs = [
+        ch
+        for z, on_cycle in zip(nodes, path[lo + 1 : hi + 2])
+        for ch in nd.n.succ[z]
+        if ch != on_cycle
+    ]
+    return len(nodes) + _internals(nd.n, hangs)
+
+
+def test_solved_values_cover_the_internal_count_imbalance():
+    # The DP's lower bounds rest on this: a common contraction of two
+    # materializations with I1 and I2 internal nodes costs at least
+    # |I1 - I2|. Counted here by walking each entry's materializations.
+    checked = 0
+    for n1, n2 in _digest_pairs():
+        solver = _Solver(n1, n2)
+        solver.run()
+        nd1, nd2 = solver.nd
+        counts = {
+            "C": lambda nd, comp: _comp_internals(nd, comp),
+            "P": lambda nd, prime: _comp_internals(nd, (prime,)),
+            "L": _run_internals,
+        }
+        for table, count in counts.items():
+            for (a, b), (value, _) in solver.memos[table].items():
+                assert value >= abs(count(nd1, a) - count(nd2, b)), (table, a, b, value)
+                checked += 1
+        # the solver's own counts, which its bounds use, agree with the walks
+        for s, nd in enumerate(solver.nd):
+            for key in solver.fp_memo:
+                assert nd.prime_internal(key[s]) == _comp_internals(nd, (key[s],))
+            for key in solver.fl_memo:
+                assert mcc_dp._run_internal(nd, key[s]) == _run_internals(nd, key[s])
+    assert checked > 10000
+
+
+def test_shared_subtrees_are_answered_at_once():
+    # A random 3000-leaf tree against a re-parsed copy of itself: each child
+    # of the root is a shared subtree, so fP opens nothing below them. The
+    # witness is the one the full pairnode recursion gives without ids.
+    n1 = gen_wgt(3000, 0, 41)
+    n2 = parse_enewick(write_enewick(n1))
+    solver = _Solver(n1, n2)
+    delta, m, w1, w2 = solver.run()
+    assert delta == 0
+    assert len(solver.fp_memo) <= len(n1.succ[n1.root])
+    full = _Solver(n1, n2)
+    for nd in full.nd:
+        nd.tree_id.clear()
+    delta_full, m_full, *witness_full = full.run()
+    assert len(full.fp_memo) > n1.num_internal
+    assert (delta_full, write_enewick(m_full), witness_full) == (0, write_enewick(m), [w1, w2])
+
+
 # -- rule queries against materialized clade sets -------------------------------
 
 
@@ -336,31 +424,36 @@ def _materialized_values(nd, comp) -> set[int]:
     return out
 
 
-# Rule queries asked over each pair's solved fC entries (4109 in all), as
-# counted when the floor was set: fewer means the DP now evaluates fewer
-# entries and this test covers less.
+# Rule queries asked over the solved fC entries of each group of pairs, at
+# least as many as its first pair alone gave when the floors were set (4109
+# in all): fewer means the DP now evaluates fewer entries and this test
+# covers less. Once the DP answered shared subtrees at once and pruned by
+# internal counts, the first pairs of groups 0, 1 and 3 fell to 660, 386
+# and 1175 queries; the independent pairs added after them restore 1385,
+# 807 and 2086.
 ASKED_FLOOR = {
-    (34, 3, 12, 10): 1243,
-    (48, 4, 13, 5): 596,
-    (30, 5, 20, 0): 401,
-    (72, 2, 15, 4): 1869,
+    ((34, 3, 12, 10), (40, 3, 31, 0)): 1243,
+    ((48, 4, 13, 5), (36, 2, 33, 0)): 596,
+    ((30, 5, 20, 0),): 401,
+    ((72, 2, 15, 4), (50, 4, 32, 0)): 1869,
 }
 
 
 @pytest.mark.parametrize("spec", list(ASKED_FLOOR))
 def test_has_value_matches_materialized_clades(spec):
-    solver = _Solver(*_frozen_pair(*spec))
-    solver.run()
     asked = 0
-    for comps in list(solver.fc_memo):
-        for s in (0, 1):
-            other = solver.nd[1 - s]
-            known = _materialized_values(other, comps[1 - s])
-            index = other.comp_index(comps[1 - s])
-            queries = {q for *_, qs in solver.candidates(s, comps[s]) for q in qs}
-            for q in queries | set(other.one_wit) | set(other.two_wit):
-                assert other.has_value(index, q) == (q in known), (comps, s, q)
-            asked += len(queries)
+    for pair in spec:
+        solver = _Solver(*_frozen_pair(*pair))
+        solver.run()
+        for comps in list(solver.fc_memo):
+            for s in (0, 1):
+                other = solver.nd[1 - s]
+                known = _materialized_values(other, comps[1 - s])
+                index = other.comp_index(comps[1 - s])
+                queries = {q for *_, qs in solver.candidates(s, comps[s]) for q in qs}
+                for q in queries | set(other.one_wit) | set(other.two_wit):
+                    assert other.has_value(index, q) == (q in known), (pair, comps, s, q)
+                asked += len(queries)
     assert asked >= ASKED_FLOOR[spec]
 
 
