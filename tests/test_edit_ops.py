@@ -2,12 +2,18 @@
 
 from __future__ import annotations
 
+import dataclasses
+import hashlib
+import json
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from phylocontract import (
     Contraction,
+    EditSequence,
+    SetSplittingInstance,
     WitnessStructure,
     apply_sequence,
     connect,
@@ -15,19 +21,27 @@ from phylocontract import (
     contract_admissible,
     contract_to_star,
     delta_mcc_from_common,
+    diameter_pair,
     expand,
     inverse_expansion,
     is_admissible,
     is_isomorphic,
+    parse_edgelist,
     parse_enewick,
     quotient,
+    reduction_deg_bounded,
+    reduction_five_leaves,
     sequence_to_witness,
     validate_witness,
     witness_to_sequence,
+    write_edgelist,
+    write_enewick,
 )
-from phylocontract import edit_ops
-from phylocontract.errors import InadmissibleContraction, NotAnEdge
-from tests.conftest import gen_wgt
+from phylocontract import cli, edit_ops
+from phylocontract.errors import InadmissibleContraction, NotAnEdge, PhyloError
+from phylocontract.generators import SplitMix64
+from phylocontract.mcc_oracle import connected_partitions
+from tests.conftest import gen_wgt, perturb
 
 TRIANGLE = "(((1)#H1,2),#H1);"  # root->x->t plus the chord root->t
 
@@ -211,3 +225,132 @@ def test_validate_witness_flags_bad_parts(t3a):
 def test_delta_from_common_counts_internal_nodes(t3a, t3b, star3):
     assert delta_mcc_from_common(t3a, t3b, star3) == 2 + 2 - 2 * 1
     assert delta_mcc_from_common(t3a, t3a, t3a) == 0
+
+
+# -- pinned outputs ---------------------------------------------------------------
+
+
+def _net_line(n) -> list:
+    """n's root, edges, leaf labels and eNewick text: node ids included."""
+    return [n.root, n.edges(), sorted(n.leaf_label.items()), write_enewick(n)]
+
+
+def _steps_line(seq) -> list:
+    return [[type(s).__name__, *dataclasses.astuple(s)] for s in seq.steps]
+
+
+def _parts_line(w) -> list:
+    return [[g, sorted(p)] for g, p in sorted(w.parts.items())]
+
+
+def _outcome(fn, line) -> list:
+    """fn's result through `line`, or the error's code and message."""
+    try:
+        return ["ok", line(fn())]
+    except PhyloError as exc:
+        return [exc.code, str(exc)]
+
+
+def _edit_pairs(fixture_dir):
+    """Same-leaf pairs: fixtures that share a leaf set, seeded random weakly
+    galled trees against a contracted copy or an independent network,
+    diameter pairs and both Set Splitting reductions."""
+    fixtures = [parse_enewick(p.read_text()) for p in sorted(fixture_dir.glob("*.nwk"))]
+    fixtures.append(parse_edgelist((fixture_dir / "g1.edges").read_text()))
+    pairs = [
+        (a, b)
+        for i, a in enumerate(fixtures)
+        for b in fixtures[i + 1 :]
+        if a.leaf_universe == b.leaf_universe
+    ]
+    rng = SplitMix64(1616)
+    for i in range(16):
+        leaves = rng.randint(3, 20)
+        n = gen_wgt(leaves, rng.randint(0, 3), rng.randrange(1 << 30))
+        if i % 2:
+            other = gen_wgt(leaves, rng.randint(0, 3), rng.randrange(1 << 30))
+        else:
+            other = perturb(n, rng.randint(1, 4), rng.randrange(1 << 30))
+        pairs.append((n, other))
+    for leaves, m, mp in ((4, 2, 5), (5, 3, 4), (5, 6, 2), (7, 4, 7), (4, 6, 6)):
+        pairs.append(diameter_pair(leaves, m, mp))
+    inst = SetSplittingInstance(("a", "b"), (frozenset("a"),))
+    for build in (reduction_deg_bounded, reduction_five_leaves):
+        pairs.append(build(inst)[:2])
+    nets = {write_enewick(n): n for n in fixtures}
+    nets.update((write_enewick(n), n) for pair in pairs for n in pair)
+    return list(nets.values()), pairs
+
+
+def _corrupted(n, seq):
+    """Star sequences broken at their middle step: the edge swapped, a leaf
+    absorbed, an expansion inserted, and a step that is no edit at all."""
+    steps = seq.steps
+    i = len(steps) // 2
+    before = apply_sequence(n, EditSequence(steps[:i]))
+    s = steps[i]
+    leaf = min(before.leaf_label)
+    absorb = Contraction(before.pred[leaf][0], leaf, before.fresh_id())
+    undo = inverse_expansion(before, s)
+    return [
+        steps[:i] + (Contraction(s.v, s.u, s.w),) + steps[i + 1 :],
+        steps[:i] + (absorb,) + steps[i + 1 :],
+        steps[: i + 1] + (undo,) + steps[i + 1 :],
+        steps[:i] + ("step",) + steps[i:],
+    ]
+
+
+def _edit_lines(fixture_dir, tmp_path, capsys) -> list[str]:
+    nets, pairs = _edit_pairs(fixture_dir)
+    rng = SplitMix64(1717)
+    lines = []
+    for n in nets:
+        seq = contract_to_star(n)
+        lines.append([_steps_line(seq), _net_line(apply_sequence(n, seq))])
+        m, w = sequence_to_witness(n, seq)
+        lines.append([_net_line(m), _parts_line(w)])
+        if n.num_internal <= 9:
+            partitions = list(connected_partitions(n))
+            for _ in range(6):
+                parts = rng.choice(partitions)
+                try:
+                    m = quotient(n, [set(p) for p in parts])
+                except PhyloError as exc:
+                    lines.append([exc.code, str(exc)])
+                    continue
+                w = WitnessStructure({g: frozenset(p) for g, p in enumerate(parts)})
+                lines.append(_outcome(lambda: witness_to_sequence(n, m, w), _steps_line))
+        if seq.steps:
+            for bad in _corrupted(n, seq):
+                bad_seq = EditSequence(bad)
+                lines.append(_outcome(lambda: apply_sequence(n, bad_seq), _net_line))
+                lines.append(
+                    _outcome(
+                        lambda: sequence_to_witness(n, bad_seq),
+                        lambda r: [_net_line(r[0]), _parts_line(r[1])],
+                    )
+                )
+        for fmt, text in (("enewick", write_enewick(n)), ("edgelist", write_edgelist(n))):
+            path = tmp_path / f"n.{fmt}"
+            path.write_text(text, encoding="utf-8")
+            code = cli.main(["--format", fmt, "star", str(path)])
+            out, err = capsys.readouterr()
+            lines.append([fmt, code, out, err])
+    for n1, n2 in pairs:
+        for a, b in ((n1, n2), (n2, n1)):
+            seq = connect(a, b)
+            lines.append([_steps_line(seq), _net_line(apply_sequence(a, seq))])
+    return [json.dumps(line) for line in lines]
+
+
+def test_edit_ops_output_is_pinned(fixture_dir, tmp_path, capsys):
+    # One SHA-256 over star sequences, witness extraction and replay,
+    # `connect` routes, the errors of corrupted sequences and `star` stdout,
+    # recorded before the edit calculus was reduced to one implementation
+    # per concept: that reduction must not change a byte.
+    lines = _edit_lines(fixture_dir, tmp_path, capsys)
+    assert len(lines) > 600
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == EDIT_OPS_DIGEST
+
+
+EDIT_OPS_DIGEST = "e2e445c2e187bd7051b0a21bb507ac29bd00a03115d76e6a8480165e7a02b83f"
