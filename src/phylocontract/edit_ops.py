@@ -64,9 +64,6 @@ class WitnessStructure:
 class EditSequence:
     steps: tuple = ()
 
-    def __len__(self) -> int:
-        return len(self.steps)
-
 
 def contract(n: Network, c: Contraction) -> Network:
     """Raw contraction per the definition; the result may be invalid.
@@ -267,16 +264,9 @@ def connect(n1: Network, n2: Network) -> EditSequence:
         e = inverse_expansion(prefixes[i], c)
         fresh_v = cur.fresh_id()
         fresh_w = fresh_v + 1
+        classes = (e.xminus, e.yminus, e.zminus, e.xplus, e.yplus, e.zplus)
         mapped = Expansion(
-            u=phi[e.u],
-            v=fresh_v,
-            w=fresh_w,
-            xminus=tuple(sorted(phi[x] for x in e.xminus)),
-            yminus=tuple(sorted(phi[x] for x in e.yminus)),
-            zminus=tuple(sorted(phi[x] for x in e.zminus)),
-            xplus=tuple(sorted(phi[x] for x in e.xplus)),
-            yplus=tuple(sorted(phi[x] for x in e.yplus)),
-            zplus=tuple(sorted(phi[x] for x in e.zplus)),
+            phi[e.u], fresh_v, fresh_w, *(tuple(sorted(phi[x] for x in c)) for c in classes)
         )
         cur = expand(cur, mapped)
         del phi[e.u]
@@ -392,20 +382,15 @@ def witness_to_sequence(n: Network, m: Network, w: WitnessStructure) -> EditSequ
 
 def sequence_to_witness(n: Network, seq: EditSequence) -> tuple[Network, WitnessStructure]:
     """Replay contractions, tracking which original nodes merged where."""
-    merged: dict[NodeId, frozenset[NodeId]] = {
-        u: frozenset([u]) for u in n.internal_nodes()
-    }
-    cur = n
-    for i, step in enumerate(seq.steps):
-        if not isinstance(step, Contraction):
-            raise InadmissibleStep(i, "witness extraction takes contractions only")
-        if not cur.has_edge(step.u, step.v):
-            raise InadmissibleStep(i, f"({step.u},{step.v}) is not an edge")
-        if not is_admissible(cur, step.u, step.v):
-            raise InadmissibleStep(i, f"contraction ({step.u},{step.v}) inadmissible")
+    steps = seq.steps
+    j = next((i for i, s in enumerate(steps) if not isinstance(s, Contraction)), len(steps))
+    cur = apply_sequence(n, EditSequence(steps[:j]))
+    if j < len(steps):
+        raise InadmissibleStep(j, "witness extraction takes contractions only")
+    merged = {u: frozenset([u]) for u in n.internal_nodes()}
+    for step in steps:
         merged[step.w] = merged.pop(step.u) | merged.pop(step.v)
-        cur = contract(cur, step)
-    return cur, WitnessStructure(parts=dict(merged))
+    return cur, WitnessStructure(merged)
 
 
 def quotient(n: Network, parts: Sequence[Iterable[NodeId]]) -> Network:
@@ -439,4 +424,5 @@ def quotient(n: Network, parts: Sequence[Iterable[NodeId]]) -> Network:
 
 
 def delta_mcc_from_common(n1: Network, n2: Network, m: Network) -> int:
+    """delta = |I(n1)| + |I(n2)| - 2 |I(m)| for a common contraction m."""
     return n1.num_internal + n2.num_internal - 2 * m.num_internal

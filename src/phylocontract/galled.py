@@ -31,8 +31,6 @@ __all__ = [
     "CladeIndex",
     "is_weakly_galled",
     "cycles",
-    "one_clades",
-    "two_clades",
     "build_clade_index",
     "has_degree2_node",
 ]
@@ -192,13 +190,3 @@ def build_clade_index(n: Network) -> CladeIndex:
             if len(ps) > 1:
                 raise SelfCheckFailed(f"2-clade {idx.labels(bits)} on pairs {ps}")
     return idx
-
-
-def one_clades(n: Network) -> dict[int, tuple[NodeId, ...]]:
-    """Σ1 as a map from clade value to its witnessing nodes."""
-    return build_clade_index(n).one_clades
-
-
-def two_clades(n: Network) -> dict[int, tuple[tuple[NodeId, NodeId], ...]]:
-    """Σ2 as a map from clade value to its witnessing cycle pairs."""
-    return build_clade_index(n).two_clades

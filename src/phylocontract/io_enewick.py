@@ -294,6 +294,8 @@ def parse_edgelist(text: str) -> Network:
         if in_leaves:
             if a not in ids:
                 raise UnknownNode(f"leaf {a!r} at line {lineno} not in any edge")
+            if ids[a] in labels:
+                raise ParseError(f"leaf {a!r} labeled twice", line=lineno)
             labels[ids[a]] = b
         else:
             if len(b.split()) != 1:

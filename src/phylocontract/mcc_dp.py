@@ -65,10 +65,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import partial
 
-from .edit_ops import WitnessStructure, check_witness, contract_admissible, quotient
+from .edit_ops import (
+    WitnessStructure,
+    check_witness,
+    contract_admissible,
+    delta_mcc_from_common,
+    quotient,
+)
 from .errors import Degree2Node, LeafSetMismatch, SelfCheckFailed
 from .galled import CladeIndex, build_clade_index
-from .network_core import Network, NodeId, topological_order
+from .network_core import Network, NodeId, _mask_nodes, topological_order
 
 __all__ = ["solve", "solve_with_stats", "DpStats", "apply_rules"]
 
@@ -338,14 +344,6 @@ class _NetData:
         cj, px, py, root = wit
         return bool((lo < px and py < hi) if cj == own else bits & root)
 
-    def _nodes_of(self, bits: int) -> list[NodeId]:
-        out = []
-        while bits:
-            low = bits & -bits
-            out.append(self.node_of_bit[low.bit_length() - 1])
-            bits ^= low
-        return out
-
     def internal_count_below(self, u: NodeId) -> int:
         return (self.reach[u] & self.internal_mask).bit_count()
 
@@ -354,7 +352,7 @@ class _NetData:
         return (self._scope(p)[0] & self.internal_mask).bit_count()
 
     def internals_below(self, u: NodeId) -> set[NodeId]:
-        return set(self._nodes_of(self.reach[u] & self.internal_mask))
+        return set(_mask_nodes(self.node_of_bit, self.reach[u] & self.internal_mask))
 
 
 def _sort_comp(nd: _NetData, primes: list) -> tuple:
@@ -794,21 +792,16 @@ class _Solver:
             raise SelfCheckFailed("no common contraction, not even the star")
         parts = self._trace(k1, k2)
 
-        p1 = [set(p) for p, _ in parts]
-        p2 = [set(q) for _, q in parts]
+        p1, p2 = zip(*parts)
         m = quotient(nd1.n, p1)
-        m2 = quotient(nd2.n, p2)
-        _check_aligned(m, m2)
-        k = len(parts)
-        i1 = nd1.n.num_internal
-        i2 = nd2.n.num_internal
-        if val != (i1 - k) + (i2 - k):
-            raise SelfCheckFailed(f"cost {val} but {k} parts of {i1} and {i2} internal nodes")
-        w1 = WitnessStructure({g: frozenset(p1[g]) for g in range(k)})
-        w2 = WitnessStructure({g: frozenset(p2[g]) for g in range(k)})
+        _check_aligned(m, quotient(nd2.n, p2))
+        delta = delta_mcc_from_common(nd1.n, nd2.n, m)
+        if val != delta:
+            raise SelfCheckFailed(f"cost {val} but {len(parts)} parts give delta {delta}")
+        w1 = WitnessStructure({g: frozenset(p) for g, p in enumerate(p1)})
+        w2 = WitnessStructure({g: frozenset(q) for g, q in enumerate(p2)})
         check_witness(nd1.n, m, w1)
         check_witness(nd2.n, m, w2)
-        delta = i1 + i2 - 2 * k
         return delta, m, w1, w2
 
     def stats(self) -> DpStats:

@@ -18,14 +18,23 @@ second network but whose parents in the first lie in different parts (the
 second root maps to the part of the first). The enumeration, the
 tie-break, the results and every `--budget` count are those of quotienting
 and searching each partition. No function here recurses. `tree_mcc` finds
-each node's minimal shared clade in one top-down pass.
+each node's minimal shared clade in one top-down pass. Both solvers build
+their common contraction as `quotient` of the first network by the
+witness parts, check it with `check_witness` and take delta from
+`delta_mcc_from_common`, as `solve` does.
 """
 
 from __future__ import annotations
 
 from typing import NamedTuple
 
-from .edit_ops import WitnessStructure, check_witness, quotient, validate_witness
+from .edit_ops import (
+    WitnessStructure,
+    check_witness,
+    delta_mcc_from_common,
+    quotient,
+    validate_witness,
+)
 from .errors import (
     BudgetExhausted,
     Degree2Node,
@@ -35,7 +44,7 @@ from .errors import (
     SelfCheckFailed,
     SizeCapExceeded,
 )
-from .network_core import Network, NodeId, topological_order
+from .network_core import Network, NodeId, _mask_nodes, topological_order
 
 __all__ = ["is_contraction", "exact_mcc", "tree_mcc", "connected_partitions"]
 
@@ -110,16 +119,6 @@ def _partition_masks(nbr: dict[int, int], budget: int | None):
             raise BudgetExhausted(f"partition enumeration exceeded {budget} steps")
 
 
-def _decode(nodes: list[NodeId], mask: int) -> tuple[NodeId, ...]:
-    """The nodes of a part mask, ascending."""
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(nodes[low.bit_length() - 1])
-        mask ^= low
-    return tuple(out)
-
-
 def connected_partitions(n: Network, budget: int | None = None):
     """All partitions of I(n) into weakly connected parts, each exactly once.
 
@@ -132,7 +131,7 @@ def connected_partitions(n: Network, budget: int | None = None):
     for parts in _partition_masks(nbr, budget):
         for p in parts:
             if p not in frozen:
-                frozen[p] = frozenset(_decode(nodes, p))
+                frozen[p] = frozenset(_mask_nodes(nodes, p))
         yield [frozen[p] for p in parts]
 
 
@@ -281,8 +280,7 @@ def exact_mcc(
     """
     if n1.leaf_universe != n2.leaf_universe:
         raise LeafSetMismatch(f"{n1.leaf_universe} vs {n2.leaf_universe}")
-    i1, i2 = n1.num_internal, n2.num_internal
-    for label, count in (("first", i1), ("second", i2)):
+    for label, count in (("first", n1.num_internal), ("second", n2.num_internal)):
         if count > max_internal:
             raise SizeCapExceeded(
                 f"{label} network has {count} internal nodes (cap {max_internal})"
@@ -298,7 +296,7 @@ def exact_mcc(
         if len(masks) < most or doomed(masks):
             continue
         # Parts come in order of their least node, so canon is sorted.
-        canon = tuple(_decode(nodes, p) for p in masks)
+        canon = tuple(_mask_nodes(nodes, p) for p in masks)
         key = (-len(masks), canon)
         if best is not None and key >= best[0]:
             continue
@@ -318,30 +316,24 @@ def exact_mcc(
         # The one-part partition quotients to a star, a contraction of n2.
         raise SelfCheckFailed("no partition of the first network contracts the second")
     _, m, w1, w2 = best
-    delta = i1 + i2 - 2 * m.num_internal
-    return delta, m, w1, w2
+    return delta_mcc_from_common(n1, n2, m), m, w1, w2
 
 
 def _shared_hosts(
     t: Network, d: dict[NodeId, int], index: dict[int, int]
-) -> tuple[dict[NodeId, int], dict[int, int]]:
-    """One top-down pass over tree t. Returns, for every node, the index of
-    its nearest ancestor-or-self whose clade is shared, and, for every shared
-    clade but the root's, the index of the next shared clade above it. The
-    shared family is laminar and t's clades grow towards the root, so the
-    nearest shared ancestor-or-self is the minimal shared superset."""
+) -> dict[NodeId, int]:
+    """One top-down pass over tree t: the index of every node's nearest
+    ancestor-or-self whose clade is shared. The shared family is laminar and
+    t's clades grow towards the root, so that is the minimal shared
+    superset."""
     host = {t.root: index[d[t.root]]}
-    above: dict[int, int] = {}
     stack = [t.root]
     while stack:
         u = stack.pop()
         for v in t.succ[u]:
-            i = index.get(d[v], host[u])
-            if i != host[u]:
-                above[i] = host[u]
-            host[v] = i
+            host[v] = index.get(d[v], host[u])
             stack.append(v)
-    return host, above
+    return host
 
 
 def tree_mcc(
@@ -350,7 +342,8 @@ def tree_mcc(
     """Maximum common contraction of two trees via shared clades.
 
     The common contraction is the tree over the clades present in both
-    inputs; delta counts the internal nodes outside the shared family.
+    inputs, the quotient of t1 by the parts its nodes' minimal shared clades
+    define; delta counts the internal nodes outside the shared family.
     Inputs must be trees without internal degree-2 nodes. The root is exempt
     from that rule, so a root with a single internal child carries the full
     clade twice; when both roots do, the common contraction keeps both.
@@ -371,25 +364,12 @@ def tree_mcc(
 
     index = {bits: i for i, bits in enumerate(shared)}
     k = len(shared)
-    host1, above = _shared_hosts(t1, d1, index)
-    host2, _ = _shared_hosts(t2, d2, index)
+    host1 = _shared_hosts(t1, d1, index)
+    host2 = _shared_hosts(t2, d2, index)
     if all(len(t.succ[t.root]) == 1 and t.num_internal > 1 for t in (t1, t2)):
         # both roots have one internal child: a fresh root part above it
         host1[t1.root] = host2[t2.root] = k
-        above[k - 1] = k
         k += 1
-    succ: dict[NodeId, set[NodeId]] = {i: set() for i in range(k)}
-    for i, parent in above.items():
-        succ[parent].add(i)
-    leaf_label: dict[NodeId, str] = {}
-    by_label = t1.leaf_by_label()
-    for j, lbl in enumerate(t1.leaf_universe):
-        leaf = k + j
-        succ[leaf] = set()
-        succ[host1[by_label[lbl]]].add(leaf)
-        leaf_label[leaf] = lbl
-    # The root's part is the last: the full leaf set sorts last, a fresh root after it.
-    m = Network(succ, leaf_label, root=k - 1)
 
     def witness(t: Network, host: dict[NodeId, int]) -> WitnessStructure:
         parts: dict[NodeId, set[NodeId]] = {i: set() for i in range(k)}
@@ -398,7 +378,8 @@ def tree_mcc(
         return WitnessStructure({i: frozenset(p) for i, p in parts.items()})
 
     w1, w2 = witness(t1, host1), witness(t2, host2)
+    # quotient numbers the parts of m by their index
+    m = quotient(t1, [w1.parts[i] for i in range(k)])
     check_witness(t1, m, w1)
     check_witness(t2, m, w2)
-    delta = t1.num_internal + t2.num_internal - 2 * k
-    return delta, m, w1, w2
+    return delta_mcc_from_common(t1, t2, m), m, w1, w2

@@ -30,8 +30,9 @@ class Network:
     """Immutable rooted DAG with labeled leaves.
 
     Adjacency is stored as sorted tuples so that every traversal of the same
-    network is deterministic. Instances are produced by :func:`validate`;
-    `contract` and `tree_mcc` are the only trusted callers that skip it.
+    network is deterministic. Only :func:`validate` and the raw
+    `edit_ops.contract`, whose result may be invalid, call the constructor;
+    every other network comes from one of them.
     """
 
     __slots__ = ("succ", "pred", "leaf_label", "root", "_universe", "_clades", "_depths")
@@ -152,7 +153,9 @@ class Network:
         lines = ["digraph network {"]
         for u in self.nodes():
             if u in self.leaf_label:
-                lines.append(f'  n{u} [label="{self.leaf_label[u]}", shape=plaintext];')
+                # DOT reads a backslash in a quoted string as an escape
+                label = self.leaf_label[u].replace("\\", "\\\\").replace('"', '\\"')
+                lines.append(f'  n{u} [label="{label}", shape=plaintext];')
             else:
                 shape = "diamond" if len(self.pred[u]) >= 2 else "circle"
                 lines.append(f'  n{u} [label="", shape={shape}];')
@@ -237,6 +240,17 @@ def _label_indices(bits: int) -> tuple[int, ...]:
     # flag i is 1 when index low + i is set
     flags = format(bits >> low, "b")[::-1].encode().translate(_DIGIT_FLAGS)
     return tuple(compress(range(low, low + len(flags)), flags))
+
+
+def _mask_nodes(nodes: list[NodeId], mask: int) -> tuple[NodeId, ...]:
+    """The nodes at the mask's set bits, in position order; one step per set
+    bit, cheaper on the oracle's few-bit part masks than `_label_indices`."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(nodes[low.bit_length() - 1])
+        mask ^= low
+    return tuple(out)
 
 
 def topological_order(n: Network) -> list[NodeId]:

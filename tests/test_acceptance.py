@@ -31,12 +31,7 @@ from phylocontract.errors import (
     NotWeaklyGalled,
     PhyloError,
 )
-from phylocontract.galled import (
-    has_degree2_node,
-    is_weakly_galled,
-    one_clades,
-    two_clades,
-)
+from phylocontract.galled import build_clade_index, has_degree2_node, is_weakly_galled
 from phylocontract.generators import (
     SetSplittingInstance,
     SplitMix64,
@@ -267,8 +262,9 @@ def test_criterion_07_structural_conservation():
             m = contract_admissible(n, u, v)
         except InadmissibleContraction:
             continue
-        src1, src2 = set(one_clades(n)), set(two_clades(n))
-        out1, out2 = one_clades(m), two_clades(m)
+        idx_n, idx_m = build_clade_index(n), build_clade_index(m)
+        src1, src2 = set(idx_n.one_clades), set(idx_n.two_clades)
+        out1, out2 = idx_m.one_clades, idx_m.two_clades
         if not is_weakly_galled(m):
             failures.append((write_enewick(n), u, v, "result not weakly galled"))
         if not set(out1) <= src1 | src2:

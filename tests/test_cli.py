@@ -54,6 +54,14 @@ def test_validate_dot_output(files, capsys):
     assert "digraph" in out and "->" in out
 
 
+def test_validate_dot_escapes_labels(files, capsys):
+    path = files("q.nwk", "(('a\"b','c\\d'),e);")
+    code, out, _ = run(capsys, ["--quiet", "validate", path, "--dot"])
+    assert code == 0
+    assert '[label="a\\"b", shape=plaintext]' in out
+    assert '[label="c\\\\d", shape=plaintext]' in out
+
+
 def test_validate_rejects_bad_syntax(files, capsys):
     code, out, err = run(capsys, ["validate", files("bad.nwk", "((1,2);")])
     assert code == 2 and out == ""

@@ -14,9 +14,7 @@ from phylocontract import (
     has_degree2_node,
     is_isomorphic,
     is_weakly_galled,
-    one_clades,
     parse_enewick,
-    two_clades,
     write_edgelist,
 )
 from phylocontract.edit_ops import Contraction, contract
@@ -109,7 +107,7 @@ def test_tree_has_no_cycles(t3a):
 
 
 def test_one_clades_g1(g1):
-    ones = one_clades(g1)
+    ones = build_clade_index(g1).one_clades
     t = leafparent(g1, "1")
     leaf = g1.leaf_by_label()
     assert set(ones[bits_of(g1, ["1", "2", "3"])]) == {g1.root}
@@ -121,7 +119,7 @@ def test_one_clades_g1(g1):
 
 
 def test_two_clades_g1(g1):
-    twos = two_clades(g1)
+    twos = build_clade_index(g1).two_clades
     a = leafparent(g1, "2")
     b = leafparent(g1, "3")
     t = leafparent(g1, "1")

@@ -199,6 +199,12 @@ def test_edgelist_rejects_label_on_unknown_node():
         parse_edgelist("0 1\n#leaves\n1 a\n9 b\n")
 
 
+def test_edgelist_rejects_a_second_label_for_one_leaf():
+    with pytest.raises(SyntaxError, match="line 6") as exc:
+        parse_edgelist("r a\nr b\n#leaves\na 1\nb 2\na 3\n")
+    assert exc.value.line == 6
+
+
 def test_edgelist_accepts_arbitrary_node_names():
     n = parse_edgelist("root a\nroot b\na x\nb y\n#leaves\nx 1\ny 2\n")
     assert n.num_internal == 3

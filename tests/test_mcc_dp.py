@@ -602,6 +602,33 @@ def test_package_has_no_assert_statements():
     assert found == []
 
 
+def test_networks_are_built_only_by_validate_and_contract():
+    # The constructor checks nothing: every network the package builds goes
+    # through `validate`, except the raw contraction, whose result may be
+    # invalid by definition. Calls are matched through import aliases.
+    callers = []
+    for path in sorted(Path(mcc_dp.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        names = {"Network"} | {
+            alias.asname
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom)
+            for alias in node.names
+            if alias.name == "Network" and alias.asname
+        }
+        defs = [
+            node
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        ]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id in names:
+                around = [d for d in defs if d.lineno <= node.lineno <= d.end_lineno]
+                innermost = max(around, key=lambda d: d.lineno).name if around else "<module>"
+                callers.append(f"{path.stem}.{innermost}")
+    assert sorted(callers) == ["edit_ops.contract", "network_core.validate"]
+
+
 def test_every_error_class_is_constructed():
     # An error class that no other module constructs is a dead error code.
     # Calls are matched through `from .errors import X as Y` aliases.
