@@ -15,7 +15,7 @@ same leaves. Expansion admissibility is checked on the result directly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .errors import (
