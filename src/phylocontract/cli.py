@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import re
 import sys
 from pathlib import Path
 
@@ -29,6 +30,7 @@ from .errors import (
     NotWeaklyGalled,
     OutOfMemory,
     PhyloError,
+    SyntaxError as ParseError,
     UnknownNode,
 )
 from .galled import build_clade_index, is_weakly_galled
@@ -45,8 +47,26 @@ from .mcc_oracle import exact_mcc
 from .network_core import Network, is_acyclic, is_isomorphic
 
 
+# surrogateescape turns each byte that does not decode into one of these
+_UNDECODED = re.compile("[\udc80-\udcff]")
+
+
+def _read_text(path: str) -> str:
+    """A file's text as UTF-8. A byte that does not decode is a SyntaxError
+    at its line and column, counted as the parser counts them."""
+    text = Path(path).read_text(encoding="utf-8", errors="surrogateescape")
+    bad = _UNDECODED.search(text)
+    if bad is None:
+        return text
+    pos = bad.start()
+    line = text.count("\n", 0, pos) + 1
+    col = pos - text.rfind("\n", 0, pos)
+    byte = ord(bad.group()) - 0xDC00
+    raise ParseError(f"byte 0x{byte:02x} does not decode as UTF-8", line=line, col=col)
+
+
 def _read(path: str, fmt: str) -> Network:
-    text = Path(path).read_text(encoding="utf-8")
+    text = _read_text(path)
     return parse_enewick(text) if fmt == "enewick" else parse_edgelist(text)
 
 
@@ -228,7 +248,7 @@ def cmd_gen_diameter(args) -> int:
 
 
 def cmd_gen_reduction(args) -> int:
-    inst = parse_set_splitting(Path(args.instance).read_text(encoding="utf-8"))
+    inst = parse_set_splitting(_read_text(args.instance))
     build = reduction_deg_bounded if args.which == 1 else reduction_five_leaves
     n1, n2, k = build(inst)
     print(f"k={k}")

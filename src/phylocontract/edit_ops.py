@@ -426,3 +426,23 @@ def quotient(n: Network, parts: Sequence[Iterable[NodeId]]) -> Network:
 def delta_mcc_from_common(n1: Network, n2: Network, m: Network) -> int:
     """delta = |I(n1)| + |I(n2)| - 2 |I(m)| for a common contraction m."""
     return n1.num_internal + n2.num_internal - 2 * m.num_internal
+
+
+def common_contraction(
+    n1: Network,
+    n2: Network,
+    parts1: Sequence[Iterable[NodeId]],
+    parts2: Sequence[Iterable[NodeId]],
+) -> tuple[int, Network, WitnessStructure, WitnessStructure]:
+    """The certified result of a common contraction solver: (delta, m, w1, w2).
+
+    m is `quotient(n1, parts1)`, so node g of m is part g; part g of each
+    side is the witness of node g. Raises SelfCheckFailed unless both
+    witnesses certify m as a contraction of their network.
+    """
+    m = quotient(n1, parts1)
+    w1 = WitnessStructure({g: frozenset(p) for g, p in enumerate(parts1)})
+    w2 = WitnessStructure({g: frozenset(p) for g, p in enumerate(parts2)})
+    check_witness(n1, m, w1)
+    check_witness(n2, m, w2)
+    return delta_mcc_from_common(n1, n2, m), m, w1, w2

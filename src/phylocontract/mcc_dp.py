@@ -31,7 +31,9 @@ those witnesses against its reach bitmask, so no clade set is ever built.
 
 Costs count contractions on both sides; the optimum then satisfies
 delta = |I1| + |I2| - 2 |I(M)|. A traceback over the memoized choices
-rebuilds the witness partitions and the common contraction itself.
+rebuilds the witness partitions, and `edit_ops.common_contraction` turns
+them into the result: it quotients the first network by them, checks both
+witnesses and gives delta, which must equal the optimum's cost.
 
 Evaluation and traceback run on explicit stacks: each recurrence is a
 generator that yields the sub-entries it needs to one memo driver, so
@@ -65,13 +67,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import partial
 
-from .edit_ops import (
-    WitnessStructure,
-    check_witness,
-    contract_admissible,
-    delta_mcc_from_common,
-    quotient,
-)
+from .edit_ops import common_contraction, contract_admissible
 from .errors import Degree2Node, LeafSetMismatch, SelfCheckFailed
 from .galled import CladeIndex, build_clade_index
 from .network_core import Network, NodeId, _mask_nodes, topological_order
@@ -791,17 +787,9 @@ class _Solver:
         if val == INF:
             raise SelfCheckFailed("no common contraction, not even the star")
         parts = self._trace(k1, k2)
-
-        p1, p2 = zip(*parts)
-        m = quotient(nd1.n, p1)
-        _check_aligned(m, quotient(nd2.n, p2))
-        delta = delta_mcc_from_common(nd1.n, nd2.n, m)
+        delta, m, w1, w2 = common_contraction(nd1.n, nd2.n, *zip(*parts))
         if val != delta:
             raise SelfCheckFailed(f"cost {val} but {len(parts)} parts give delta {delta}")
-        w1 = WitnessStructure({g: frozenset(p) for g, p in enumerate(p1)})
-        w2 = WitnessStructure({g: frozenset(q) for g, q in enumerate(p2)})
-        check_witness(nd1.n, m, w1)
-        check_witness(nd2.n, m, w2)
         return delta, m, w1, w2
 
     def stats(self) -> DpStats:
@@ -869,25 +857,6 @@ def _run_nodes(nd: _NetData, run) -> tuple[NodeId, ...]:
     c = nd.cycles[ci]
     nodes = c.side_a if side == 0 else c.side_b
     return tuple(nodes[lo : hi + 1])
-
-
-def _check_aligned(m1: Network, m2: Network):
-    internal1 = {
-        (u, v)
-        for u, v in m1.edges()
-        if u not in m1.leaf_label and v not in m1.leaf_label
-    }
-    internal2 = {
-        (u, v)
-        for u, v in m2.edges()
-        if u not in m2.leaf_label and v not in m2.leaf_label
-    }
-    if internal1 != internal2:
-        raise SelfCheckFailed("quotients disagree on internal edges")
-    lp1 = {m1.leaf_label[x]: m1.pred[x][0] for x in m1.leaf_label}
-    lp2 = {m2.leaf_label[x]: m2.pred[x][0] for x in m2.leaf_label}
-    if lp1 != lp2:
-        raise SelfCheckFailed("quotients disagree on leaf attachment")
 
 
 def solve(n1: Network, n2: Network):

@@ -18,23 +18,16 @@ second network but whose parents in the first lie in different parts (the
 second root maps to the part of the first). The enumeration, the
 tie-break, the results and every `--budget` count are those of quotienting
 and searching each partition. No function here recurses. `tree_mcc` finds
-each node's minimal shared clade in one top-down pass. Both solvers build
-their common contraction as `quotient` of the first network by the
-witness parts, check it with `check_witness` and take delta from
-`delta_mcc_from_common`, as `solve` does.
+each node's minimal shared clade in one top-down pass. Both solvers, like
+`solve`, return through `edit_ops.common_contraction`, which quotients the
+first network by the witness parts, checks both witnesses and gives delta.
 """
 
 from __future__ import annotations
 
 from typing import NamedTuple
 
-from .edit_ops import (
-    WitnessStructure,
-    check_witness,
-    delta_mcc_from_common,
-    quotient,
-    validate_witness,
-)
+from .edit_ops import WitnessStructure, common_contraction, quotient, validate_witness
 from .errors import (
     BudgetExhausted,
     Degree2Node,
@@ -44,6 +37,7 @@ from .errors import (
     SelfCheckFailed,
     SizeCapExceeded,
 )
+from .galled import has_degree2_node
 from .network_core import Network, NodeId, _mask_nodes, topological_order
 
 __all__ = ["is_contraction", "exact_mcc", "tree_mcc", "connected_partitions"]
@@ -289,7 +283,7 @@ def exact_mcc(
     target = _prepare(n2)
     doomed = _prefilter(n1, target)
     nodes, nbr = _node_masks(n1)
-    best = None  # (key, m, w1, w2), key = (-(number of parts), canon)
+    best = None  # (key, canon, w2), key = (-(number of parts), canon)
     most = 0  # the number of parts of the best
     for masks in _partition_masks(nbr, budget):
         # Fewer parts than the best make a larger key, which cannot win.
@@ -307,16 +301,13 @@ def exact_mcc(
         w2 = _search(target, m, budget)
         if w2 is None:
             continue
-        # quotient numbers the parts of m by their index in parts
-        w1 = WitnessStructure({g: frozenset(p) for g, p in enumerate(canon)})
-        check_witness(n1, m, w1)
-        best, most = (key, m, w1, w2), len(masks)
+        best, most = (key, canon, w2), len(masks)
 
     if best is None:
         # The one-part partition quotients to a star, a contraction of n2.
         raise SelfCheckFailed("no partition of the first network contracts the second")
-    _, m, w1, w2 = best
-    return delta_mcc_from_common(n1, n2, m), m, w1, w2
+    _, canon, w2 = best
+    return common_contraction(n1, n2, canon, [w2.parts[g] for g in range(len(canon))])
 
 
 def _shared_hosts(
@@ -351,9 +342,8 @@ def tree_mcc(
     for t in (t1, t2):
         if t.reticulations():
             raise NotATree(f"reticulations present: {t.reticulations()}")
-        for u in t.internal_nodes():
-            if u != t.root and len(t.pred[u]) == 1 and len(t.succ[u]) == 1:
-                raise Degree2Node(f"node {u}")
+        if has_degree2_node(t):
+            raise Degree2Node(repr(t))
     if t1.leaf_universe != t2.leaf_universe:
         raise LeafSetMismatch(f"{t1.leaf_universe} vs {t2.leaf_universe}")
 
@@ -371,15 +361,8 @@ def tree_mcc(
         host1[t1.root] = host2[t2.root] = k
         k += 1
 
-    def witness(t: Network, host: dict[NodeId, int]) -> WitnessStructure:
-        parts: dict[NodeId, set[NodeId]] = {i: set() for i in range(k)}
+    parts1, parts2 = [set() for _ in range(k)], [set() for _ in range(k)]
+    for t, host, parts in ((t1, host1, parts1), (t2, host2, parts2)):
         for u in t.internal_nodes():
             parts[host[u]].add(u)
-        return WitnessStructure({i: frozenset(p) for i, p in parts.items()})
-
-    w1, w2 = witness(t1, host1), witness(t2, host2)
-    # quotient numbers the parts of m by their index
-    m = quotient(t1, [w1.parts[i] for i in range(k)])
-    check_witness(t1, m, w1)
-    check_witness(t2, m, w2)
-    return delta_mcc_from_common(t1, t2, m), m, w1, w2
+    return common_contraction(t1, t2, parts1, parts2)

@@ -69,6 +69,27 @@ def test_validate_rejects_bad_syntax(files, capsys):
     assert "line 1" in err
 
 
+@pytest.mark.parametrize(
+    "argv, data, byte, where",
+    [
+        (["validate", "{bad}"], b"((1,2),\xff3);", "0xff", "line 1, col 8"),
+        # columns count characters, as the parser's do
+        (["validate", "{bad}"], b"((1,'\xc3\xa9'),\n\xc3);", "0xc3", "line 2, col 1"),
+        (["mcc", "wgt", "{good}", "{bad}"], b"((1,2),\xff3);", "0xff", "line 1, col 8"),
+        (["gen", "reduction1", "--instance", "{bad}"], b"a b\nb \xffc\n", "0xff", "line 2, col 3"),
+    ],
+)
+def test_undecodable_input_is_a_syntax_error(tmp_path, capsys, argv, data, byte, where):
+    # A byte that is not UTF-8 is refused like any other bad input: exit 2
+    # and one error line naming the first such byte, not a traceback.
+    (tmp_path / "bad").write_bytes(data)
+    (tmp_path / "good").write_text(T3A_TEXT, encoding="utf-8")
+    paths = {"bad": tmp_path / "bad", "good": tmp_path / "good"}
+    code, out, err = run(capsys, [a.format(**paths) for a in argv])
+    assert (code, out) == (2, "")
+    assert err == f"error: SyntaxError: byte {byte} does not decode as UTF-8 ({where})\n"
+
+
 def test_missing_file_reports_ioerror(tmp_path, capsys):
     code, _, err = run(capsys, ["validate", str(tmp_path / "absent.nwk")])
     assert code == 2

@@ -469,6 +469,22 @@ from phylocontract import exact_mcc, parse_enewick, solve, tree_mcc
 from phylocontract.errors import SelfCheckFailed
 
 print(f"optimize={sys.flags.optimize}")
+# a traceback that misaligns side 2: parts 1 and 2 swap their side-2 nodes
+trace = mcc_dp._Solver._trace
+def swapped(self, k1, k2):
+    parts = trace(self, k1, k2)
+    (a1, a2), (b1, b2) = parts[1], parts[2]
+    parts[1], parts[2] = (a1, b2), (b1, a2)
+    return parts
+mcc_dp._Solver._trace = swapped
+# two sibling cherries, then a parent part and its child part
+for text in ("((1,2),(3,4));", "((1,(2,3)),4);"):
+    n = parse_enewick(text)
+    try:
+        print("returned", solve(n, n))
+    except SelfCheckFailed as exc:
+        print("solve", exc)
+mcc_dp._Solver._trace = trace
 edit_ops.validate_witness = lambda n, m, w: (False, "planted")
 a, b = parse_enewick("((1,2),3);"), parse_enewick("((1,3),2);")
 for f in (solve, exact_mcc, tree_mcc):
@@ -508,12 +524,17 @@ def _run_optimized(script: str) -> list[str]:
 
 
 def test_witness_self_checks_survive_python_O():
-    # python -O drops asserts; the checks that end solve, exact_mcc and
-    # tree_mcc must still catch a witness that fails validation, exact_mcc
-    # must still notice that no partition survived, and the DP's traceback
-    # must refuse an entry that has no choice to follow.
+    # python -O drops asserts; the side-2 witness check must still catch a
+    # traceback whose second side breaks leaf attachment or the internal
+    # edges, the checks that end solve, exact_mcc and tree_mcc must still
+    # catch a witness that fails validation, exact_mcc must still notice
+    # that no partition survived, and the DP's traceback must refuse an
+    # entry that has no choice to follow.
     assert _run_optimized(SELF_CHECK_SCRIPT) == [
         "optimize=1",
+        "solve witness check failed: leaf '1': parent 2 not in part 1",
+        "solve witness check failed: edge pattern mismatch"
+        " (missing={(0, 1), (1, 2)}, extra={(0, 2), (2, 1)})",
         *(f"{name} witness check failed: planted" for name in ("solve", "exact_mcc", "tree_mcc")),
         "exact_mcc no partition of the first network contracts the second",
         "solve traceback reached an unsolved P entry",
@@ -602,19 +623,19 @@ def test_package_has_no_assert_statements():
     assert found == []
 
 
-def test_networks_are_built_only_by_validate_and_contract():
-    # The constructor checks nothing: every network the package builds goes
-    # through `validate`, except the raw contraction, whose result may be
-    # invalid by definition. Calls are matched through import aliases.
+def _callers(name: str) -> list[str]:
+    """`module.function` of the innermost function around each call of
+    `name` in the package, sorted. Calls are matched by name, through
+    `import ... as` aliases, and as an attribute."""
     callers = []
     for path in sorted(Path(mcc_dp.__file__).parent.glob("*.py")):
         tree = ast.parse(path.read_text(), str(path))
-        names = {"Network"} | {
+        names = {name} | {
             alias.asname
             for node in ast.walk(tree)
             if isinstance(node, ast.ImportFrom)
             for alias in node.names
-            if alias.name == "Network" and alias.asname
+            if alias.name == name and alias.asname
         }
         defs = [
             node
@@ -622,11 +643,32 @@ def test_networks_are_built_only_by_validate_and_contract():
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
         ]
         for node in ast.walk(tree):
-            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id in names:
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            if (isinstance(func, ast.Name) and func.id in names) or (
+                isinstance(func, ast.Attribute) and func.attr == name
+            ):
                 around = [d for d in defs if d.lineno <= node.lineno <= d.end_lineno]
                 innermost = max(around, key=lambda d: d.lineno).name if around else "<module>"
                 callers.append(f"{path.stem}.{innermost}")
+    return sorted(callers)
+
+
+def test_networks_are_built_only_by_validate_and_contract():
+    # The constructor checks nothing: every network the package builds goes
+    # through `validate`, except the raw contraction, whose result may be
+    # invalid by definition.
+    callers = _callers("Network")
     assert sorted(callers) == ["edit_ops.contract", "network_core.validate"]
+
+
+def test_results_are_certified_only_by_common_contraction():
+    # Every solver returns through one exit, which alone checks the
+    # witnesses and computes delta; a second caller would be a second
+    # certificate to keep in step.
+    for name in ("check_witness", "delta_mcc_from_common"):
+        assert set(_callers(name)) == {"edit_ops.common_contraction"}, name
 
 
 def test_every_error_class_is_constructed():
