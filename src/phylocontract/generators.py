@@ -522,26 +522,31 @@ Edge = tuple[NodeId, NodeId]
 
 def _random_tree(rng: SplitMix64, labels: list[str]) -> _Builder:
     """Random rooted tree with out-degrees in [2, 4] (single-leaf case: a
-    root-leaf edge)."""
+    root-leaf edge). Built in pre-order on one stack of (parent, group of
+    labels or finished child): a child's edge joins after its subtree, so
+    ids, RNG draws and the edge set's insertion order, which its iteration
+    order follows, are a depth-first recursion's."""
     g = _Builder()
-
-    def build(group: list[str]) -> NodeId:
-        if len(group) == 1:
-            return g.leaf(group[0])
-        u = g.node()
-        k = rng.randint(2, min(len(group), 4))
-        pool = list(group)
-        rng.shuffle(pool)
-        cuts = sorted(rng.sample(range(1, len(pool)), k - 1))
-        parts = [pool[i:j] for i, j in zip([0, *cuts], [*cuts, len(pool)])]
-        for part in parts:
-            g.edges.add((u, build(part)))
-        return u
-
     if len(labels) == 1:
         g.leaf(labels[0], g.node())
-    else:
-        build(list(labels))
+        return g
+    stack: list[tuple[NodeId | None, list[str] | NodeId]] = [(None, list(labels))]
+    while stack:
+        parent, item = stack.pop()
+        if not isinstance(item, list):
+            g.edges.add((parent, item))
+        elif len(item) == 1:
+            g.leaf(item[0], parent)
+        else:
+            u = g.node()
+            if parent is not None:
+                stack.append((parent, u))
+            k = rng.randint(2, min(len(item), 4))
+            pool = list(item)
+            rng.shuffle(pool)
+            cuts = sorted(rng.sample(range(1, len(pool)), k - 1))
+            bounds = list(zip([0, *cuts], [*cuts, len(pool)]))
+            stack.extend((u, pool[i:j]) for i, j in reversed(bounds))
     return g
 
 

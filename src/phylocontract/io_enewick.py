@@ -278,7 +278,7 @@ def parse_edgelist(text: str) -> Network:
     edges: set[tuple[NodeId, NodeId]] = set()
     labels: dict[NodeId, str] = {}
     in_leaves = False
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(text.split("\n"), start=1):
         line = raw.strip()
         if not line:
             continue

@@ -30,8 +30,10 @@ cycle pair. A query finds the one prime that can hold the value and tests
 those witnesses against its reach bitmask, so no clade set is ever built.
 
 Costs count contractions on both sides; the optimum then satisfies
-delta = |I1| + |I2| - 2 |I(M)|. A traceback over the memoized choices
-rebuilds the witness partitions, and `edit_ops.common_contraction` turns
+delta = |I1| + |I2| - 2 |I(M)|. Each memoized choice is its traceback
+record: the branch's tag, the nodes it merges on each side, whether it opens
+a new part, and the sub-entries to follow. The traceback reads these records
+to rebuild the witness partitions, and `edit_ops.common_contraction` turns
 them into the result: it quotients the first network by them, checks both
 witnesses and gives delta, which must equal the optimum's cost.
 
@@ -196,7 +198,6 @@ class _NetData:
             px, py = sorted((self.pos[cj][x], self.pos[cj][y]))
             self.two_wit[bits] = (cj, px, py, 1 << self.node_bit[self.cycles[cj].root])
 
-        self._dec_cache: dict[NodeId, tuple] = {}
         self._path_cache: dict[tuple, tuple] = {}
         self._scope_cache: dict[tuple, tuple] = {}
 
@@ -216,6 +217,12 @@ class _NetData:
 
     def window(self, ci: int, u: NodeId, v: NodeId) -> tuple[NodeId, ...]:
         return self.order[ci][self.pos[ci][u] + 1 : self.pos_high(ci, v)]
+
+    def window_sides(self, ci: int, u: NodeId, v: NodeId) -> tuple[tuple, tuple]:
+        """The window's nodes above the reticulation on side a and on side
+        b: a cycle top's window always holds its reticulation."""
+        o, t = self.order[ci], self.pos[ci][self.retic(ci)]
+        return o[self.pos[ci][u] + 1 : t], o[t + 1 : self.pos_high(ci, v)]
 
     def retic(self, ci: int) -> NodeId:
         return self.cycles[ci].reticulation
@@ -248,9 +255,7 @@ class _NetData:
         return primes
 
     def decompose(self, u: NodeId) -> tuple:
-        if u not in self._dec_cache:
-            self._dec_cache[u] = _sort_comp(self, self.node_fragments(u))
-        return self._dec_cache[u]
+        return _sort_comp(self, self.node_fragments(u))
 
     def decompose_path(self, ci: int, path: tuple[NodeId, ...]) -> tuple:
         key = (ci, path)
@@ -395,10 +400,7 @@ class _Solver:
                 else:
                     _, ci, u, v = p
                     t = nd.retic(ci)
-                    win = nd.window(ci, u, v)
-                    tpos = nd.pos[ci][t]
-                    wa = [z for z in win if nd.pos[ci][z] < tpos]
-                    wb = [z for z in win if nd.pos[ci][z] > tpos]
+                    wa, wb = nd.window_sides(ci, u, v)
                     for z, others in ((nd.next_a(ci, u), wb), (nd.next_b(ci, v), wa)):
                         if z == t:
                             continue
@@ -409,16 +411,16 @@ class _Solver:
         return cache[comp]
 
     def advance(self, s: int, comp: tuple, prime, z: NodeId) -> tuple:
-        """Contract the root edge onto cycle-top child z: advance the key past
-        z and spill z's other children as new primes."""
+        """Contract the root edge onto z, a head of `prime`: z's children
+        become primes, and a cycle top also advances its key past z, whose
+        on-cycle child it keeps."""
         nd = self.nd[s]
-        _, ci, u, v = prime
-        if z == nd.next_a(ci, u):
-            newp = nd.norm_cycle(ci, z, v)
-        else:  # z == nd.next_b(ci, v)
-            newp = nd.norm_cycle(ci, u, z)
         frags = [q for q in comp if q != prime]
-        frags.append(newp)
+        ci = None
+        if prime[0] == "C":
+            _, ci, u, v = prime
+            ends = (z, v) if z == nd.next_a(ci, u) else (u, z)
+            frags.append(nd.norm_cycle(ci, *ends))
         frags.extend(nd.node_fragments(z, skip_on_cycle=ci))
         return _sort_comp(nd, frags)
 
@@ -438,13 +440,7 @@ class _Solver:
                         index[s] = other.comp_index(comps[1 - s])
                     if any(other.has_value(index[s], q) for q in queries):
                         continue
-                    nd = self.nd[s]
-                    if kind == 1:
-                        frags = [q for q in comps[s] if q != prime]
-                        frags.extend(nd.node_fragments(z))
-                        new_comp = _sort_comp(nd, frags)
-                    else:
-                        new_comp = self.advance(s, comps[s], prime, z)
+                    new_comp = self.advance(s, comps[s], prime, z)
                     yield s, z, queries, ((new_comp, k2) if s == 0 else (k1, new_comp))
 
     # -- recurrences -----------------------------------------------------------
@@ -526,12 +522,13 @@ class _Solver:
         if self.nd[0].comp_leafset(k1) != self.nd[1].comp_leafset(k2):
             return INF, None
         if not k1 and not k2:
-            return 0, ("empty",)
+            return 0, ("empty", (), (), False, ())
 
         fired = next(self.firings(k1, k2), None)
         if fired is not None:
             s, z, _, pair = fired
-            return _add(1, (yield "C", pair)), ("rule", s, z, pair)
+            subs = (("C", pair),)
+            return (yield from self._sum(1, subs, ("rule", *_on_side(s, (z,)), False, subs)))
 
         by_ls1 = {self.nd[0].prime_leafset(p): p for p in k1}
         by_ls2 = {self.nd[1].prime_leafset(p): p for p in k2}
@@ -539,8 +536,8 @@ class _Solver:
             raise SelfCheckFailed(f"primes share a leaf set: {k1} vs {k2}")
         if set(by_ls1) != set(by_ls2):
             return INF, None
-        pairs = tuple((by_ls1[ls], by_ls2[ls]) for ls in sorted(by_ls1))
-        return (yield from self._sum(0, [("P", pair) for pair in pairs], ("match", pairs)))
+        subs = tuple(("P", (by_ls1[ls], by_ls2[ls])) for ls in sorted(by_ls1))
+        return (yield from self._sum(0, subs, ("match", (), (), False, subs)))
 
     def fP(self, p1, p2):
         nd1, nd2 = self.nd
@@ -549,16 +546,18 @@ class _Solver:
             u_leaf = u in nd1.n.leaf_label
             v_leaf = v in nd2.n.leaf_label
             if u_leaf and v_leaf:
-                return 0, ("leafleaf",)
+                return 0, ("leafleaf", (), (), False, ())
             if u_leaf:
-                return nd2.internal_count_below(v), ("collapse2", v)
+                below = nd2.internals_below(v)
+                return len(below), ("collapse2", (), below, False, ())
             if v_leaf:
-                return nd1.internal_count_below(u), ("collapse1", u)
+                below = nd1.internals_below(u)
+                return len(below), ("collapse1", below, (), False, ())
             tid = nd1.tree_id.get(u)
             if tid is not None and tid == nd2.tree_id.get(v):
-                return 0, ("shared", u, v)
-            pair = (nd1.decompose(u), nd2.decompose(v))
-            return (yield "C", pair), ("pairnode", u, v, pair)
+                return 0, ("shared", (), (), False, (("S", (u, v)),))
+            subs = (("C", (nd1.decompose(u), nd2.decompose(v))),)
+            return (yield from self._sum(0, subs, ("pairnode", (u,), (v,), True, subs)))
         if p1[0] == "D":
             return (yield from self._case_mixed(0, p1, p2))
         if p2[0] == "D":
@@ -577,15 +576,16 @@ class _Solver:
         window = nd_c.window(ci, v, w)
         dec_u = nd_d.decompose(u)
         dec_win = nd_c.decompose_path(ci, window)
-        keep_pair = (dec_u, dec_win) if dside == 0 else (dec_win, dec_u)
-        con_pair = (dec_u, (cp,)) if dside == 0 else ((cp,), dec_u)
-        keep = ("c2keep", dside, u, window, keep_pair)
-        con = ("c2contract", dside, u, con_pair)
+        keep_subs = (("C", (dec_u, dec_win) if dside == 0 else (dec_win, dec_u)),)
+        con_subs = (("C", (dec_u, (cp,)) if dside == 0 else ((cp,), dec_u)),)
+        keep_nodes = ((u,), window) if dside == 0 else (window, (u,))
+        keep = ("c2keep", *keep_nodes, True, keep_subs)
+        con = ("c2contract", *_on_side(dside, (u,)), False, con_subs)
         charge = len(window) - 1
         i_u, i_c = nd_d.internal_count_below(u), nd_c.prime_internal(cp)
         alts = [
-            (_bound(0, charge, i_u, i_c), partial(self._sum, charge, [("C", keep_pair)], keep)),
-            (_bound(1, 0, i_u, i_c), partial(self._sum, 1, [("C", con_pair)], con)),
+            (_bound(0, charge, i_u, i_c), partial(self._sum, charge, keep_subs, keep)),
+            (_bound(1, 0, i_u, i_c), partial(self._sum, 1, con_subs, con)),
         ]
         return (yield from self._first_min(alts))
 
@@ -608,10 +608,8 @@ class _Solver:
                     alts.append((bound, partial(self._contract_top, s, prime, other, z)))
 
         t1, t2 = nd1.retic(ci), nd2.retic(cj)
-        win1 = nd1.window(ci, u, v)
+        wa1, wb1 = nd1.window_sides(ci, u, v)
         p1pos, p2pos = nd1.pos[ci], nd2.pos[cj]
-        wa1 = [z for z in win1 if p1pos[z] < p1pos[t1]]
-        wb1 = [z for z in win1 if p1pos[z] > p1pos[t1]]
         lo2, hi2 = p2pos[w], nd2.pos_high(cj, x)
         for a in (*wa1, t1):
             for b in (t1, *wb1):
@@ -631,8 +629,8 @@ class _Solver:
     def _contract_top(self, s: int, prime, other, z: NodeId):
         """Contract the root edge of cycle top `prime` (side s) onto z."""
         new_comp = self.advance(s, (prime,), prime, z)
-        pair = (new_comp, (other,)) if s == 0 else ((other,), new_comp)
-        return (yield from self._sum(1, [("C", pair)], ("c4contract", s, z, pair)))
+        subs = (("C", (new_comp, (other,)) if s == 0 else ((other,), new_comp)),)
+        return (yield from self._sum(1, subs, ("c4contract", *_on_side(s, (z,)), False, subs)))
 
     def _fB(self, p1, p2, a, b, c, dd):
         """Bottom split: paths a..t1..b and c..t2..d merge into one node;
@@ -654,14 +652,14 @@ class _Solver:
         rb2 = _run_between(nd2, cj, 1, x, dd)
         straight = ((ra1, ra2), (rb1, rb2))
         cross = ((ra1, rb2), (rb1, ra2))
-        lat, pairing = yield from self._first_min(
-            [
-                (self._imbalance(pr), partial(self._sum, 0, [("L", q) for q in pr], pr))
-                for pr in (straight, cross)
-            ]
-        )
-        total = _add(cost + bottom, lat)
-        return total, ("b5", a, b, c, dd, (path1, path2, decs, pairing))
+        alts = []
+        for pr in (straight, cross):
+            subs = tuple(("L", q) for q in pr)
+            alts.append((self._imbalance(pr), partial(self._sum, 0, subs, subs)))
+        lat, pairing = yield from self._first_min(alts)
+        if pairing is None:
+            return INF, None
+        return cost + bottom + lat, ("b5", path1, path2, True, (("C", decs), *pairing))
 
     def _imbalance(self, run_pairs) -> int:
         """Lower bound on the fL values of run pairs: their internal-count
@@ -674,7 +672,7 @@ class _Solver:
         if _run_union(nd1, r1) != _run_union(nd2, r2):
             return INF, None
         if r1 is None and r2 is None:
-            return 0, ("emptyrun",)
+            return 0, ("emptyrun", (), (), False, ())
 
         ci1, s1, lo1, hi1 = r1
         ci2, s2, lo2, hi2 = r2
@@ -692,8 +690,9 @@ class _Solver:
             if not (lo2 <= k2 < hi2):
                 continue
             halves = _split(r1, r2, k, k2)
-            subs = [("L", pair) for pair in halves]
-            alts.append((self._imbalance(halves), partial(self._sum, 0, subs, ("split", k, k2))))
+            subs = tuple(("L", pair) for pair in halves)
+            split = ("split", (), (), False, subs)
+            alts.append((self._imbalance(halves), partial(self._sum, 0, subs, split)))
         charge = (hi1 - lo1) + (hi2 - lo2)
         bound = _bound(hi1 - lo1, hi2 - lo2, _run_internal(nd1, r1), _run_internal(nd2, r2))
         alts.append((bound, partial(self._fullrun, r1, r2, charge)))
@@ -704,52 +703,22 @@ class _Solver:
         nd1, nd2 = self.nd
         nodes1 = _run_nodes(nd1, r1)
         nodes2 = _run_nodes(nd2, r2)
-        decs = (nd1.decompose_path(r1[0], nodes1), nd2.decompose_path(r2[0], nodes2))
-        return (yield from self._sum(charge, [("C", decs)], ("fullrun", nodes1, nodes2, decs)))
+        subs = (("C", (nd1.decompose_path(r1[0], nodes1), nd2.decompose_path(r2[0], nodes2))),)
+        return (yield from self._sum(charge, subs, ("fullrun", nodes1, nodes2, True, subs)))
 
     # -- traceback ---------------------------------------------------------------
 
     def _decode(self, table: str, key: tuple):
-        """(nodes 1, nodes 2, opens a part, sub-entries) of a memoized choice.
-        Nodes go to the part the choice opens, else to the nearest enclosing
-        one. Table "S" holds no entries: its keys are shared subtree pairs."""
+        """(nodes 1, nodes 2, opens a part, sub-entries) of a memoized choice:
+        its record without the tag. Nodes go to the part the choice opens,
+        else to the nearest enclosing one. Table "S" holds no entries: its
+        keys are shared subtree pairs."""
         if table == "S":
             return self._shared(*key)
         val, choice = self.memos[table][key]
         if val == INF or choice is None:
             raise SelfCheckFailed(f"traceback reached an unsolved {table} entry")
-        tag = choice[0]
-        if tag in ("empty", "leafleaf", "emptyrun"):
-            return (), (), False, ()
-        if tag in ("rule", "c2contract", "c4contract"):
-            _, s, z, pair = choice
-            nodes = ((z,), ()) if s == 0 else ((), (z,))
-            return *nodes, False, (("C", pair),)
-        if tag == "match":
-            return (), (), False, tuple(("P", pair) for pair in choice[1])
-        if tag == "collapse1":
-            return self.nd[0].internals_below(choice[1]), (), False, ()
-        if tag == "collapse2":
-            return (), self.nd[1].internals_below(choice[1]), False, ()
-        if tag == "shared":
-            return self._shared(choice[1], choice[2])
-        if tag == "pairnode":
-            _, u, v, pair = choice
-            return (u,), (v,), True, (("C", pair),)
-        if tag == "c2keep":
-            _, dside, u, window, pair = choice
-            nodes = ((u,), window) if dside == 0 else (window, (u,))
-            return *nodes, True, (("C", pair),)
-        if tag == "b5":
-            path1, path2, decs, pairing = choice[5]
-            return path1, path2, True, (("C", decs), *(("L", pair) for pair in pairing))
-        if tag == "split":
-            _, k, k2 = choice
-            return (), (), False, tuple(("L", pair) for pair in _split(*key, k, k2))
-        if tag == "fullrun":
-            _, nodes1, nodes2, decs = choice
-            return nodes1, nodes2, True, (("C", decs),)
-        raise AssertionError(tag)
+        return choice[1:]
 
     def _shared(self, u: NodeId, v: NodeId):
         """A shared subtree pair, decoded into the parts the pairnode ->
@@ -806,6 +775,11 @@ def _bound(f1: int, f2: int, i1: int, i2: int) -> int:
     leaves both sides with equal internal counts, so the rest costs at
     least the imbalance that remains."""
     return f1 + f2 + abs((i1 - f1) - (i2 - f2))
+
+
+def _on_side(s: int, nodes: tuple) -> tuple[tuple, tuple]:
+    """A record's (nodes 1, nodes 2) for nodes on side s alone."""
+    return (nodes, ()) if s == 0 else ((), nodes)
 
 
 def _add(a, b):

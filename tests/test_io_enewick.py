@@ -205,6 +205,29 @@ def test_edgelist_rejects_a_second_label_for_one_leaf():
     assert exc.value.line == 6
 
 
+@pytest.mark.parametrize(
+    "text,line",
+    [
+        # Only "\n" ends a line, as in eNewick and the CLI; form feeds, the
+        # other Unicode line breaks and a CR before "\n" are whitespace.
+        ("1 0\x0c3 1\n3 2 x\n#leaves\n0 a\n", 1),
+        ("1 0\x0c\n3 2 x\n#leaves\n0 a\n", 2),
+        ("1 0\u2028\x85\x1c\n3 1\n3 2 x\n", 3),
+        ("r a\r\nr b\r\n#leaves\r\na 1\r\nb 2\r\na 3\r\n", 6),
+    ],
+)
+def test_edgelist_error_lines_count_newlines_only(text, line):
+    with pytest.raises(SyntaxError) as exc:
+        parse_edgelist(text)
+    assert exc.value.line == line
+
+
+def test_edgelist_reads_crlf_lines():
+    text = (FIXDIR / "g1.edges").read_text()
+    crlf = parse_edgelist(text.replace("\n", "\r\n"))
+    assert write_edgelist(crlf) == write_edgelist(parse_edgelist(text))
+
+
 def test_edgelist_accepts_arbitrary_node_names():
     n = parse_edgelist("root a\nroot b\na x\nb y\n#leaves\nx 1\ny 2\n")
     assert n.num_internal == 3

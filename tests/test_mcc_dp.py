@@ -291,6 +291,33 @@ def test_output_digest_is_frozen():
     assert h.hexdigest() == "b70fd1c1e5fa33bda7f9c6338f78efaace924923ba06ab55733772d5b23038a7"
 
 
+def test_every_solved_choice_is_a_traceback_record():
+    # The digests read only the records the traceback reaches, the winners.
+    # Every solved entry's record must be followable too: its sub-entries are
+    # entries of their tables or shared subtree pairs, and its nodes are
+    # internal nodes of their side's network.
+    tags = set()
+    for n1, n2 in _digest_pairs():
+        solver = _Solver(n1, n2)
+        solver.run()
+        nd1, nd2 = solver.nd
+        internal = (set(n1.internal_nodes()), set(n2.internal_nodes()))
+        for table, memo in solver.memos.items():
+            for key, (value, choice) in memo.items():
+                if value == mcc_dp.INF:
+                    continue
+                tags.add(choice[0])
+                nodes1, nodes2, _, subs = solver._decode(table, key)
+                assert set(nodes1) <= internal[0] and set(nodes2) <= internal[1], choice
+                for sub_table, sub_key in subs:
+                    if sub_table == "S":
+                        u, v = sub_key
+                        assert nd1.tree_id[u] == nd2.tree_id[v], choice
+                    else:
+                        assert sub_key in solver.memos[sub_table], choice
+    assert {"c2keep", "c2contract", "collapse1", "collapse2"} <= tags, tags
+
+
 # -- lower bounds and shared subtrees -------------------------------------------
 
 
@@ -620,6 +647,28 @@ def test_package_has_no_assert_statements():
         for node in ast.walk(ast.parse(path.read_text(), str(path)))
         if isinstance(node, ast.Assert)
     ]
+    assert found == []
+
+
+def test_package_has_no_recursive_functions():
+    # Deep inputs must not meet Python's recursion limit, so no function
+    # calls itself, by its bare name or as a method on self.
+    found = []
+    for path in sorted(Path(mcc_dp.__file__).parent.glob("*.py")):
+        for fn in ast.walk(ast.parse(path.read_text(), str(path))):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for node in ast.walk(fn):
+                if not isinstance(node, ast.Call):
+                    continue
+                func = node.func
+                if (isinstance(func, ast.Name) and func.id == fn.name) or (
+                    isinstance(func, ast.Attribute)
+                    and func.attr == fn.name
+                    and isinstance(func.value, ast.Name)
+                    and func.value.id == "self"
+                ):
+                    found.append(f"{path.name}:{node.lineno} {fn.name}")
     assert found == []
 
 
