@@ -544,9 +544,9 @@ def _random_tree(rng: SplitMix64, labels: list[str]) -> _Builder:
             k = rng.randint(2, min(len(item), 4))
             pool = list(item)
             rng.shuffle(pool)
-            cuts = sorted(rng.sample(range(1, len(pool)), k - 1))
-            bounds = list(zip([0, *cuts], [*cuts, len(pool)]))
-            stack.extend((u, pool[i:j]) for i, j in reversed(bounds))
+            cuts = [0, *sorted(rng.sample(range(1, len(pool)), k - 1)), len(pool)]
+            for i in range(k, 0, -1):
+                stack.append((u, pool[cuts[i - 1] : cuts[i]]))
     return g
 
 
