@@ -21,7 +21,7 @@ import re
 import sys
 from pathlib import Path
 
-from .edit_ops import Contraction, apply_sequence, contract, contract_admissible, contract_to_star
+from .edit_ops import Contraction, _star_walk, contract, contract_admissible
 from .errors import (
     CyclicGraph,
     Degree2Node,
@@ -138,9 +138,10 @@ def cmd_contract(args) -> int:
 
 def cmd_star(args) -> int:
     n = _read(args.file, args.format)
-    seq = contract_to_star(n)
-    star = apply_sequence(n, seq)
-    for step in seq.steps:
+    steps, star = [], n
+    for step, star in _star_walk(n):
+        steps.append(step)
+    for step in steps:
         print(f"{step.u} {step.v}")
     _emit(star, args.format)
     return 0

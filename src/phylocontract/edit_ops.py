@@ -201,6 +201,11 @@ def inverse_expansion(n_before: Network, c: Contraction) -> Expansion:
     )
 
 
+def _star_walk(n: Network):
+    """`_collapse` on the one-part star witness, which every network has."""
+    return _collapse(n, [(0, n.internal_nodes())])
+
+
 def contract_to_star(n: Network) -> EditSequence:
     """Admissible contractions collapsing all internal nodes into the root.
 
@@ -208,11 +213,10 @@ def contract_to_star(n: Network) -> EditSequence:
     contracts the edge from the root to its first non-leaf out-neighbor in
     topological order. Any alternative root→c path would route through an
     earlier non-leaf out-neighbor, so the chosen edge never has one and each
-    step is admissible.
+    step is admissible. witness_to_sequence, contract_to_star, connect and
+    the CLI's `star` share one walk, `_collapse`, which makes each step once.
     """
-    internals = n.internal_nodes()
-    star = quotient(n, [internals])
-    return witness_to_sequence(n, star, WitnessStructure({0: frozenset(internals)}))
+    return EditSequence(tuple(step for step, _ in _star_walk(n)))
 
 
 def apply_sequence(n: Network, seq: EditSequence) -> Network:
@@ -244,24 +248,20 @@ def connect(n1: Network, n2: Network) -> EditSequence:
     """
     if n1.leaf_universe != n2.leaf_universe:
         raise LeafSetMismatch(f"{n1.leaf_universe} vs {n2.leaf_universe}")
-    down = contract_to_star(n1)
-    cur = apply_sequence(n1, down)
-
-    seq2 = contract_to_star(n2)
-    prefixes = [n2]
-    for step in seq2.steps:
-        prefixes.append(contract(prefixes[-1], step))
+    down, cur = [], n1
+    for step, cur in _star_walk(n1):
+        down.append(step)
+    walk2 = [(None, n2), *_star_walk(n2)]  # (step, the network it leaves)
 
     # Map the n2-side star onto the n1-side star.
-    phi: dict[NodeId, NodeId] = {prefixes[-1].root: cur.root}
+    phi: dict[NodeId, NodeId] = {walk2[-1][1].root: cur.root}
     by_label1 = cur.leaf_by_label()
     for leaf, lab in n2.leaf_label.items():
         phi[leaf] = by_label1[lab]
 
     up: list[Expansion] = []
-    for i in range(len(seq2.steps) - 1, -1, -1):
-        c = seq2.steps[i]
-        e = inverse_expansion(prefixes[i], c)
+    for i in range(len(walk2) - 1, 0, -1):
+        e = inverse_expansion(walk2[i - 1][1], walk2[i][0])
         fresh_v = cur.fresh_id()
         fresh_w = fresh_v + 1
         classes = (e.xminus, e.yminus, e.zminus, e.xplus, e.yplus, e.zplus)
@@ -273,7 +273,7 @@ def connect(n1: Network, n2: Network) -> EditSequence:
         phi[e.v] = fresh_v
         phi[e.w] = fresh_w
         up.append(mapped)
-    return EditSequence(down.steps + tuple(up))
+    return EditSequence((*down, *up))
 
 
 def validate_witness(
@@ -348,20 +348,22 @@ def check_witness(n: Network, m: Network, w: WitnessStructure) -> None:
 
 
 def witness_to_sequence(n: Network, m: Network, w: WitnessStructure) -> EditSequence:
-    """Contractions collapsing each witness part, in a fixed admissible order.
-
-    Parts are processed in topological order of m; inside a part the
-    topologically first remaining node is contracted onto its first
-    out-neighbor within the part.
-    """
+    """Contractions collapsing each witness part, in a fixed admissible order:
+    parts in topological order of m, each by `_collapse`."""
     ok, why = validate_witness(n, m, w)
     if not ok:
         raise InvalidWitness(why)
-    steps: list[Contraction] = []
+    parts = [(u, w.parts[u]) for u in topological_order(m) if u in w.parts]
+    return EditSequence(tuple(step for step, _ in _collapse(n, parts)))
+
+
+def _collapse(n: Network, parts):
+    """Collapse each (key, part) of a valid witness of n in turn, yielding
+    each contraction and the network it leaves: a part's topologically first
+    live node is contracted onto its first live out-neighbor."""
     cur = n
-    part_order = [u for u in topological_order(m) if u in w.parts]
-    for key in part_order:
-        live = set(w.parts[key])
+    for key, part in parts:
+        live = set(part)
         while len(live) > 1:
             position = {x: i for i, x in enumerate(topological_order(cur))}
             x = min(live, key=position.__getitem__)
@@ -370,14 +372,13 @@ def witness_to_sequence(n: Network, m: Network, w: WitnessStructure) -> EditSequ
             # live node, so every edge joining x to the rest of the part
             # leaves x: a live successor y exists.
             y = min((y for y in cur.succ[x] if y in live), key=position.__getitem__)
-            fresh = cur.fresh_id()
             if not is_admissible(cur, x, y):
                 raise InvalidWitness(f"contraction ({x},{y}) inside part {key} inadmissible")
-            steps.append(Contraction(x, y, fresh))
-            cur = contract(cur, steps[-1])
+            step = Contraction(x, y, cur.fresh_id())
+            cur = contract(cur, step)
+            yield step, cur
             live -= {x, y}
-            live.add(fresh)
-    return EditSequence(tuple(steps))
+            live.add(step.w)
 
 
 def sequence_to_witness(n: Network, seq: EditSequence) -> tuple[Network, WitnessStructure]:

@@ -273,10 +273,7 @@ def _path_chain(labels: list[str], m: int, deep: str) -> Network:
 
 def _root_leaf_cyc(labels: list[str], m: int, top: str) -> Network:
     """Root carries leaf `top`; the rest is a spine-and-triangles chain."""
-    params = _chain_params(m - 1, len(labels) - 1)
-    if params is None:
-        raise InvalidParameters(f"no root-leaf chain for m={m}, l={len(labels)}")
-    b, c = params
+    b, c = _chain_params(m - 1, len(labels) - 1)
     avail = [x for x in labels if x != top]
     side = avail[: b + c]
     bottom = avail[b + c :]

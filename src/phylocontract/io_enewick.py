@@ -285,8 +285,6 @@ def parse_edgelist(text: str) -> Network:
         if line == "#leaves":
             in_leaves = True
             continue
-        if line.startswith("#"):
-            continue  # comment
         parts = line.split(None, 1)
         if len(parts) != 2:
             raise ParseError(f"expected two fields, found {line!r}", line=lineno)

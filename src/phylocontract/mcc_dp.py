@@ -20,6 +20,14 @@ Recurrences:
       point, or contract each run into a single node and compare the merged
       side networks.
 
+Every f_C key pairs two compositions on one leaf set, so f_C never
+compares leaf sets. The root compositions share the universe `_Solver`
+checks; f_P opens primes matched by leaf set; a rule firing or a contracted
+cycle edge keeps its composition's leaf set; a dangling subtree stays
+paired with the cycle top it was matched with; a bottom pair has equal
+clade unions; and a full run is compared only after f_L's union check. Were
+a key ever to break this, matching primes by leaf set would still give INF.
+
 Rules 1 and 2 have one engine, `_Solver.firings`, which lists the safe
 contractions of a composition pair in schedule order: fC takes the first,
 and `apply_rules` drives it from the root compositions to reduce two whole
@@ -134,7 +142,6 @@ class _NetData:
         self.rooted_at: dict[NodeId, list[int]] = {}
         self.side_of: dict[NodeId, tuple[int, int, int]] = {}  # node -> (ci, side, idx)
         self.on_child: dict[tuple[int, NodeId], NodeId] = {}
-        self.heads: list[tuple[NodeId, NodeId]] = []
         self.hang: dict[tuple[int, NodeId], int] = {}
         self.pref: list[list[list[int]]] = []  # [ci][side] -> prefix array
         self.pref_idx: list[list[dict[int, int]]] = []
@@ -151,9 +158,6 @@ class _NetData:
                 path = [*nodes, c.reticulation]
                 for z, nxt in zip(path, path[1:]):
                     self.on_child[(ci, z)] = nxt
-            ha = c.side_a[0] if c.side_a else c.reticulation
-            hb = c.side_b[0] if c.side_b else c.reticulation
-            self.heads.append((ha, hb))
 
             below = {}  # cycle node -> internal nodes in its hang
             for z in (*c.side_a, *c.side_b, c.reticulation):
@@ -247,8 +251,7 @@ class _NetData:
         primes = []
         for cj in self.rooted_at.get(z, []):
             primes.append(self.norm_cycle(cj, z, z))
-            ha, hb = self.heads[cj]
-            skip |= {ha, hb}
+            skip |= {self.order[cj][1], self.order[cj][-1]}  # the cycle's heads
         for ch in self.n.succ[z]:
             if ch not in skip:
                 primes.append(("D", ch))
@@ -273,12 +276,6 @@ class _NetData:
             return self.d[p[1]]
         _, ci, u, v = p
         return self.d[self.next_a(ci, u)] | self.d[self.next_b(ci, v)]
-
-    def comp_leafset(self, comp: tuple) -> int:
-        bits = 0
-        for p in comp:
-            bits |= self.prime_leafset(p)
-        return bits
 
     # -- clade queries on materializations -----------------------------------
 
@@ -344,9 +341,6 @@ class _NetData:
             return False
         cj, px, py, root = wit
         return bool((lo < px and py < hi) if cj == own else bits & root)
-
-    def internal_count_below(self, u: NodeId) -> int:
-        return (self.reach[u] & self.internal_mask).bit_count()
 
     def prime_internal(self, p) -> int:
         """Internal nodes of the prime's materialization, fresh root aside."""
@@ -519,11 +513,6 @@ class _Solver:
         return val, choice
 
     def fC(self, k1: tuple, k2: tuple):
-        if self.nd[0].comp_leafset(k1) != self.nd[1].comp_leafset(k2):
-            return INF, None
-        if not k1 and not k2:
-            return 0, ("empty", (), (), False, ())
-
         fired = next(self.firings(k1, k2), None)
         if fired is not None:
             s, z, _, pair = fired
@@ -582,7 +571,7 @@ class _Solver:
         keep = ("c2keep", *keep_nodes, True, keep_subs)
         con = ("c2contract", *_on_side(dside, (u,)), False, con_subs)
         charge = len(window) - 1
-        i_u, i_c = nd_d.internal_count_below(u), nd_c.prime_internal(cp)
+        i_u, i_c = nd_d.prime_internal(dp), nd_c.prime_internal(cp)
         alts = [
             (_bound(0, charge, i_u, i_c), partial(self._sum, charge, keep_subs, keep)),
             (_bound(1, 0, i_u, i_c), partial(self._sum, 1, con_subs, con)),

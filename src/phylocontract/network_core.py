@@ -327,9 +327,6 @@ def is_isomorphic(n1: Network, n2: Network, return_mapping: bool = False):
     used_inv: dict[NodeId, NodeId] = {}
 
     def compatible(u: NodeId, v: NodeId) -> bool:
-        for l1 in n1.succ[u]:
-            if l1 in n1.leaf_label and phi[l1] not in n2.succ[v]:
-                return False
         for w in n1.succ[u]:
             if w in phi and w not in n1.leaf_label and phi[w] not in n2.succ[v]:
                 return False

@@ -121,8 +121,8 @@ def _deep_clades(depth: int = 1200) -> str:
 def test_deep_input_is_answered(files, capsys, cmd):
     # 1200 nesting levels pass Python's default recursion limit; nothing
     # recurses per level, so the input gets its answer. `star` is left out
-    # on purpose: witness_to_sequence is quadratic in the internal nodes, so
-    # it takes about 13 s here.
+    # on purpose: its walk is quadratic in the internal nodes, so it takes
+    # 4-5 s here (2-core x86_64, Python 3.11.7).
     expected = {
         "validate": "nodes=2401 internal=1200 leaves=1201 reticulations=0 weakly_galled=true\n",
         "mcc wgt": "delta=0 common_size=1200\n",
@@ -369,6 +369,13 @@ def test_dist_upper_names_degree2_reason(files, capsys):
     )
 
 
+def test_dist_upper_rejects_different_leaf_sets(files, capsys):
+    a, b = files("a.nwk", T3A_TEXT), files("b.nwk", "((1,2),4);")
+    code, out, err = run(capsys, ["dist", "upper", a, b])
+    assert (code, out) == (2, "")
+    assert err == "error: LeafSetMismatch: ('1', '2', '3') vs ('1', '2', '4')\n"
+
+
 # -- gen ----------------------------------------------------------------------------
 
 
@@ -409,6 +416,14 @@ def test_gen_reduction_prints_k_then_pair(files, capsys):
     code, out, _ = run(capsys, ["gen", "reduction2", "--instance", inst])
     assert code == 0
     assert out.splitlines()[0] == "k=4"
+
+
+@pytest.mark.parametrize("cmd", ["reduction1", "reduction2"])
+def test_gen_reduction_needs_a_set(files, capsys, cmd):
+    inst = files("inst.txt", "1 2\n")  # a universe and no set
+    code, out, err = run(capsys, ["gen", cmd, "--instance", inst])
+    assert (code, out) == (2, "")
+    assert err == "error: InvalidParameters: need at least one set and one element\n"
 
 
 def test_gen_random_wgt_frozen_and_seed_forms(files, capsys):

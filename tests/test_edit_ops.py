@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from phylocontract import (
     Contraction,
     EditSequence,
+    Expansion,
     SetSplittingInstance,
     WitnessStructure,
     apply_sequence,
@@ -38,7 +39,17 @@ from phylocontract import (
     write_enewick,
 )
 from phylocontract import cli, edit_ops
-from phylocontract.errors import InadmissibleContraction, NotAnEdge, PhyloError
+from phylocontract.errors import (
+    InadmissibleContraction,
+    InadmissibleExpansion,
+    InadmissibleStep,
+    InvalidParameters,
+    InvalidWitness,
+    KeyMismatch,
+    LeafSetMismatch,
+    NotAnEdge,
+    PhyloError,
+)
 from phylocontract.generators import SplitMix64
 from phylocontract.mcc_oracle import connected_partitions
 from tests.conftest import gen_wgt, perturb
@@ -225,6 +236,127 @@ def test_validate_witness_flags_bad_parts(t3a):
 def test_delta_from_common_counts_internal_nodes(t3a, t3b, star3):
     assert delta_mcc_from_common(t3a, t3b, star3) == 2 + 2 - 2 * 1
     assert delta_mcc_from_common(t3a, t3a, t3a) == 0
+
+
+# -- error paths --------------------------------------------------------------------
+#
+# t3a = ((1,2),3): root r, the parent p of leaves 1 and 2, leaf c labeled 3.
+
+
+def _t3a_nodes(t3a):
+    return t3a.root, leafparent(t3a, "1"), t3a.leaf_by_label()["3"]
+
+
+def _raises(cls, fn) -> str:
+    """fn's error, which must be exactly cls; returns its code and message."""
+    with pytest.raises(cls) as exc:
+        fn()
+    assert type(exc.value) is cls
+    return f"{exc.value.code}: {exc.value}"
+
+
+def test_contract_rejects_a_non_edge_and_a_used_merge_node(t3a):
+    r, p, c = _t3a_nodes(t3a)
+    got = _raises(NotAnEdge, lambda: contract(t3a, Contraction(c, r, 99)))
+    assert got == f"NotAnEdge: ({c},{r}) is not an edge"
+    got = _raises(InvalidParameters, lambda: contract(t3a, Contraction(r, p, p)))
+    assert got == f"InvalidParameters: merge node {p} must be fresh"
+
+
+def test_is_admissible_rejects_a_non_edge(t3a):
+    r, p, c = _t3a_nodes(t3a)
+    got = _raises(NotAnEdge, lambda: is_admissible(t3a, p, c))
+    assert got == f"NotAnEdge: ({p},{c}) is not an edge"
+
+
+def _split_root(star3, v=None, **classes) -> Expansion:
+    """An expansion of star3's root into v (fresh by default) above a fresh
+    w; out-neighbors go to v unless classes says otherwise."""
+    fresh = star3.fresh_id()
+    spec = dict.fromkeys(("xminus", "yminus", "zminus", "yplus", "zplus"), ())
+    spec["xplus"] = star3.succ[star3.root]
+    spec.update(classes)
+    return Expansion(star3.root, fresh if v is None else v, fresh + 1, **spec)
+
+
+@pytest.mark.parametrize(
+    "case,message",
+    [
+        ("leaf", "node {leaf} is not an internal node"),
+        ("used", "v and w must be fresh distinct nodes"),
+        ("twice", "classes must partition in(u) and out(u)"),
+        ("sink", "expansion result invalid: sink node {w} has no label"),
+    ],
+)
+def test_expand_rejections(star3, case, message):
+    leaf = min(star3.leaf_label)
+    fresh = star3.fresh_id()
+    ones, rest = star3.succ[star3.root][:1], star3.succ[star3.root][1:]
+    e = {
+        "leaf": dataclasses.replace(_split_root(star3), u=leaf),
+        "used": _split_root(star3, v=leaf),
+        "twice": _split_root(star3, xplus=star3.succ[star3.root], zplus=ones),
+        "sink": _split_root(star3),
+    }[case]
+    got = _raises(InadmissibleExpansion, lambda: expand(star3, e))
+    assert got == "InadmissibleExpansion: " + message.format(leaf=leaf, w=fresh + 1)
+    # with one leaf moved below w, the same split is admissible
+    assert expand(star3, _split_root(star3, xplus=rest, yplus=ones)).num_internal == 2
+
+
+def test_apply_sequence_reports_the_failing_expansion(star3):
+    seq = EditSequence((_split_root(star3),))
+    got = _raises(InadmissibleStep, lambda: apply_sequence(star3, seq))
+    w = star3.fresh_id() + 1
+    assert got == (
+        f"InadmissibleStep: step 0: expansion result invalid: sink node {w} has no label"
+    )
+
+
+def test_connect_rejects_different_leaf_sets(t3a):
+    other = parse_enewick("((1,2),4);")
+    got = _raises(LeafSetMismatch, lambda: connect(t3a, other))
+    assert got == "LeafSetMismatch: ('1', '2', '3') vs ('1', '2', '4')"
+
+
+def test_validate_witness_raises_on_keys_and_leaf_sets(t3a):
+    r, p, _ = _t3a_nodes(t3a)
+    star = quotient(t3a, [[r, p]])
+    got = _raises(
+        KeyMismatch, lambda: validate_witness(t3a, star, WitnessStructure({7: frozenset({r, p})}))
+    )
+    assert got == "KeyMismatch: witness keys [7] != internal nodes [0]"
+    other = parse_enewick("(1,2,4);")
+    got = _raises(
+        LeafSetMismatch,
+        lambda: validate_witness(t3a, other, WitnessStructure({other.root: frozenset({r, p})})),
+    )
+    assert got == "LeafSetMismatch: ('1', '2', '3') vs ('1', '2', '4')"
+
+
+def test_validate_witness_answers(t3a, t3b):
+    r, p, c = _t3a_nodes(t3a)
+    star = quotient(t3a, [[r, p]])
+    pb = leafparent(t3b, "1")
+    cases = [
+        (star, {0: {r, p, c}}, "part 0 contains non-internal nodes"),
+        (t3a, {r: {r, p}, p: {p}}, f"part {p} overlaps another part"),
+        # t3b = ((1,3),2) on t3a's nodes: the edge pattern matches, but leaf
+        # 3 hangs from t3a's root, outside the part of its t3b parent
+        (t3b, {t3b.root: {r}, pb: {p}}, f"leaf '3': parent {r} not in part {pb}"),
+    ]
+    for m, parts, why in cases:
+        w = WitnessStructure({k: frozenset(v) for k, v in parts.items()})
+        assert validate_witness(t3a, m, w) == (False, why)
+        got = _raises(InvalidWitness, lambda: witness_to_sequence(t3a, m, w))
+        assert got == f"InvalidWitness: {why}"
+
+
+def test_quotient_rejects_parts_that_do_not_cover(t3a):
+    r, p, _ = _t3a_nodes(t3a)
+    got = _raises(InvalidParameters, lambda: quotient(t3a, [[r]]))
+    assert got == "InvalidParameters: parts must cover exactly the internal nodes"
+    assert quotient(t3a, [[r], [p]]).num_internal == 2
 
 
 # -- pinned outputs ---------------------------------------------------------------

@@ -205,6 +205,27 @@ def test_edgelist_rejects_a_second_label_for_one_leaf():
     assert exc.value.line == 6
 
 
+@pytest.mark.parametrize("name", ["#c", "c"])
+def test_edgelist_reads_a_hash_name_as_any_other_node(name):
+    # Only "#leaves" is reserved: a line that starts with "#" is an edge
+    # like any other, so the extra root is reported, not dropped.
+    from phylocontract.errors import MultipleRoots
+
+    with pytest.raises(MultipleRoots, match="in-degree-0 nodes"):
+        parse_edgelist(f"r a\nr b\n{name} d\n#leaves\na 1\nb 2\nd 3\n")
+
+
+def test_edgelist_hash_names_parse_as_nodes():
+    n = parse_edgelist("#r #a\n#r b\n#leaves\n#a 1\nb 2\n")
+    assert n.leaf_universe == ("1", "2") and n.num_internal == 1
+
+
+def test_edgelist_rejects_a_one_field_line():
+    with pytest.raises(SyntaxError, match="expected two fields") as exc:
+        parse_edgelist("r a\nr\n#leaves\na 1\n")
+    assert exc.value.code == "SyntaxError" and exc.value.line == 2
+
+
 @pytest.mark.parametrize(
     "text,line",
     [

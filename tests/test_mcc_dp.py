@@ -318,6 +318,27 @@ def test_every_solved_choice_is_a_traceback_record():
     assert {"c2keep", "c2contract", "collapse1", "collapse2"} <= tags, tags
 
 
+def test_every_fc_key_pairs_one_leaf_set():
+    # fC never compares leaf sets: every producer of an fC key keeps the two
+    # compositions on one leaf set, and such a pair always has a common
+    # contraction, so every solved fC entry is finite.
+    checked = 0
+    for n1, n2 in _digest_pairs():
+        solver = _Solver(n1, n2)
+        solver.run()
+        nd1, nd2 = solver.nd
+        for (k1, k2), (value, _) in solver.fc_memo.items():
+            union1 = union2 = 0
+            for p in k1:
+                union1 |= nd1.prime_leafset(p)
+            for p in k2:
+                union2 |= nd2.prime_leafset(p)
+            assert union1 == union2, (k1, k2)
+            assert value != mcc_dp.INF, (k1, k2)
+            checked += 1
+    assert checked > 1000
+
+
 # -- lower bounds and shared subtrees -------------------------------------------
 
 

@@ -210,6 +210,14 @@ def test_exact_mcc_leafset_mismatch(t3a):
         exact_mcc(t3a, other)
 
 
+def test_tree_mcc_leafset_mismatch(t3a):
+    other = parse_enewick("((1,2),4);")
+    with pytest.raises(LeafSetMismatch) as exc:
+        tree_mcc(t3a, other)
+    assert type(exc.value) is LeafSetMismatch
+    assert str(exc.value) == "('1', '2', '3') vs ('1', '2', '4')"
+
+
 def test_tree_mcc_matches_exact_on_fixtures(t3a, t3b, star3):
     for a, b in [(t3a, t3b), (t3a, star3), (t3a, t3a)]:
         got, m, w1, w2 = tree_mcc(a, b)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import itertools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -20,6 +22,7 @@ from phylocontract.errors import (
     NoRoot,
     UnlabeledLeaf,
 )
+from phylocontract.generators import SplitMix64
 from tests.conftest import gen_wgt
 
 
@@ -175,6 +178,118 @@ def test_iso_invariant_under_id_shift(seed, shift):
         {u + shift: lab for u, lab in n.leaf_label.items()},
     )
     assert is_isomorphic(n, shifted)
+
+
+def _random_dag(rng, internal: int, leaves: int):
+    """A network on internal nodes 0..internal-1 in topological order, each
+    below a random non-empty set of earlier ones, with leaves a, b, ... hung
+    from random internal nodes: the last internal node takes leaf a, and
+    every other childless one gets an edge to a later one."""
+    edges = set()
+    for i in range(1, internal):
+        parents = [p for p in range(i) if rng.randrange(2)] or [rng.randrange(i)]
+        edges.update((p, i) for p in parents)
+    labels = {}
+    for j in range(leaves):
+        edges.add((internal - 1 if j == 0 else rng.randrange(internal), internal + j))
+        labels[internal + j] = "abcd"[j]
+    for u in range(internal - 1):
+        if not any(x == u for x, _ in edges):
+            edges.add((u, u + 1 + rng.randrange(internal - 1 - u)))
+    return validate(sorted(edges), labels)
+
+
+def _renumbered(rng, n):
+    ids = sorted(n.succ)
+    new = list(ids)
+    rng.shuffle(new)
+    to = dict(zip(ids, new))
+    return validate(
+        [(to[u], to[v]) for u, v in n.edges()], {to[u]: lab for u, lab in n.leaf_label.items()}
+    )
+
+
+def _iso_by_permutation(n1, n2) -> bool:
+    """The reference: some bijection of the internal nodes, with leaves
+    matched by label, maps n1's edges onto n2's."""
+    if n1.leaf_universe != n2.leaf_universe or n1.num_internal != n2.num_internal:
+        return False
+    by_label = n2.leaf_by_label()
+    edges2 = set(n2.edges())
+    internal1 = n1.internal_nodes()
+    for image in itertools.permutations(n2.internal_nodes()):
+        phi = dict(zip(internal1, image))
+        phi.update((u, by_label[lab]) for u, lab in n1.leaf_label.items())
+        if {(phi[u], phi[v]) for u, v in n1.edges()} == edges2:
+            return True
+    return False
+
+
+def _check_iso(n1, n2) -> bool:
+    ok, mapping = is_isomorphic(n1, n2, return_mapping=True)
+    assert ok == _iso_by_permutation(n1, n2)
+    if ok:
+        assert {(mapping[u], mapping[v]) for u, v in n1.edges()} == set(n2.edges())
+    return ok
+
+
+def test_iso_agrees_with_permutations_on_random_dags():
+    # Half the pairs are renumbered copies, half independent networks of the
+    # same size, so both answers occur often.
+    rng = SplitMix64(2024)
+    answers = []
+    for i in range(1500):
+        n1 = _random_dag(rng, rng.randint(2, 6), rng.randint(1, 4))
+        if i % 2:
+            n2 = _renumbered(rng, n1)
+        else:
+            n2 = _random_dag(rng, n1.num_internal, len(n1.leaf_label))
+        answers.append(_check_iso(n1, n2))
+    assert 750 < sum(answers) < 1500
+
+
+# Small pairs that reach the search's rarer exits, as (edges 1, edges 2,
+# isomorphic); sinks are labeled a, b, ... in id order.
+_ISO_PAIRS = {
+    # One signature set, counts A 2/1 and Z 1/2: root 0 has children
+    # A (1, 2 | 1), Z (3 | 2, 3) and W=4; W and Y=5 reach both P=6 and Q=7,
+    # which keeps every in-degree equal.
+    "unequal counts": (
+        [(0, 1), (0, 2), (0, 3), (0, 4), (1, 6), (2, 6), (3, 7), (4, 7), (4, 5), (5, 6), (5, 7)]
+        + [(6, 8), (7, 9)],
+        [(0, 1), (0, 2), (0, 3), (0, 4), (1, 6), (2, 7), (3, 7), (4, 6), (4, 5), (5, 6), (5, 7)]
+        + [(6, 8), (7, 9)],
+        False,
+    ),
+    # Renumbered copies. u1=4 has parents T1=1, T2=2, u2=5 has K=6 and
+    # T3=3; both sit above R=7. In the copy u2's image 4 comes first, so the
+    # search tries it for u1 and finds its assigned parent K outside u1's
+    # parents: the reverse parent check fails.
+    "reverse parent check": (
+        [(0, 1), (0, 2), (0, 3), (0, 6), (1, 4), (2, 4), (3, 5), (6, 5), (4, 7), (5, 7)]
+        + [(6, 9), (7, 8)],
+        [(0, 1), (0, 2), (0, 3), (0, 6), (1, 5), (2, 5), (3, 4), (6, 4), (5, 7), (4, 7)]
+        + [(6, 9), (7, 8)],
+        True,
+    ),
+    # From a seeded search over random DAGs: the reverse child check fails.
+    "reverse child check": (
+        [(0, 1), (0, 2), (0, 3), (0, 4), (0, 5), (1, 2), (2, 4), (3, 5), (4, 5), (5, 6)],
+        [(0, 6), (1, 0), (1, 2), (1, 3), (1, 4), (1, 6), (2, 6), (3, 4), (4, 2), (6, 5)],
+        True,
+    ),
+}
+
+
+def _sinks_labeled(edges):
+    sinks = sorted({v for _, v in edges} - {u for u, _ in edges})
+    return validate(edges, {v: "ab"[i] for i, v in enumerate(sinks)})
+
+
+@pytest.mark.parametrize("case", sorted(_ISO_PAIRS))
+def test_iso_agrees_with_permutations_on_rare_exits(case):
+    edges1, edges2, want = _ISO_PAIRS[case]
+    assert _check_iso(_sinks_labeled(edges1), _sinks_labeled(edges2)) is want
 
 
 def test_num_internal_counts_non_leaves(g1):
