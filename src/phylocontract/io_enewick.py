@@ -63,7 +63,7 @@ class _Lexer:
                     raise self.error("expected 'H' after '#'", i)
                 j += 1
                 k = j
-                while k < n and text[k].isdigit():
+                while k < n and text[k].isdecimal():
                     k += 1
                 if k == j:
                     raise self.error("expected integer after '#H'", i)

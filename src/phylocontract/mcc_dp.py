@@ -28,14 +28,24 @@ paired with the cycle top it was matched with; a bottom pair has equal
 clade unions; and a full run is compared only after f_L's union check. Were
 a key ever to break this, matching primes by leaf set would still give INF.
 
-Rules 1 and 2 have one engine, `_Solver.firings`, which lists the safe
-contractions of a composition pair in schedule order: fC takes the first,
-and `apply_rules` drives it from the root compositions to reduce two whole
-networks. A rule only asks whether a clade value occurs among the other
-composition's 1- and 2-clades. Each network's witnesses come from its
+Rules 1 and 2 have one engine, `_Solver.cascade`, which fires the safe
+contractions of a composition pair to their fixed point in schedule order:
+Rule 1 before Rule 2, side 0 before side 1, lowest node first. fC makes one
+entry per cascade, worth its firings plus the match of the fixed point, and
+`apply_rules` replays a cascade from the root compositions to reduce two
+whole networks. A rule only asks whether a clade value occurs among the
+other composition's 1- and 2-clades. Each network's witnesses come from its
 `galled.build_clade_index`: the mask of a value's 1-clade nodes and its one
 cycle pair. A query finds the one prime that can hold the value and tests
 those witnesses against its reach bitmask, so no clade set is ever built.
+A cascade resumes one scan across its firings instead of restarting it. A
+firing on side s removes from side s only values among its own queries;
+none of them is a value of side 1 - s, since the firing was enabled, and
+every query of a candidate is a value of the candidate's own side. So no
+surviving candidate changes status, a blocked one stays blocked, and only
+the candidates of the primes a firing makes need a check. This rests on
+has_value's witnesses, which hold because no dangling prime's head is
+side-internal.
 
 Costs count contractions on both sides; the optimum then satisfies
 delta = |I1| + |I2| - 2 |I(M)|. Each memoized choice is its traceback
@@ -76,6 +86,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
+from heapq import heappop, heappush
+from operator import itemgetter
 
 from .edit_ops import common_contraction, contract_admissible
 from .errors import Degree2Node, LeafSetMismatch, SelfCheckFailed
@@ -85,6 +97,8 @@ from .network_core import Network, NodeId, _mask_nodes, topological_order
 __all__ = ["solve", "solve_with_stats", "DpStats", "apply_rules"]
 
 INF = float("inf")
+_node = itemgetter(0)
+_SLOTS = ((1, 0), (1, 1), (2, 0), (2, 1))  # (rule, side) in schedule order
 
 
 @dataclass
@@ -260,6 +274,16 @@ class _NetData:
     def decompose(self, u: NodeId) -> tuple:
         return _sort_comp(self, self.node_fragments(u))
 
+    def advanced(self, prime, z: NodeId) -> list:
+        """The primes that replace `prime` once its root edge is contracted
+        onto z, one of its heads: z's children, and for a cycle top the top
+        advanced past z, whose on-cycle child it keeps."""
+        if prime[0] == "D":
+            return self.node_fragments(z)
+        _, ci, u, v = prime
+        ends = (z, v) if z == self.next_a(ci, u) else (u, z)
+        return [self.norm_cycle(ci, *ends), *self.node_fragments(z, skip_on_cycle=ci)]
+
     def decompose_path(self, ci: int, path: tuple[NodeId, ...]) -> tuple:
         key = (ci, path)
         if key not in self._path_cache:
@@ -297,18 +321,27 @@ class _NetData:
             self._scope_cache[p] = got
         return got
 
-    def comp_index(self, comp: tuple) -> tuple[int, dict[int, tuple]]:
-        """(mask of all heads, head mask -> scope) for the primes of comp."""
-        heads = 0
-        scope_of = {}
-        for p in comp:
+    def comp_index(self, comp) -> list:
+        """[mask of all heads, head mask -> scope] for the primes of comp."""
+        index = [0, {}]
+        self.reindex(index, (), comp)
+        return index
+
+    def reindex(self, index: list, gone, made) -> None:
+        """Update a comp_index in place: primes `gone` leave, `made` join."""
+        heads, scope_of = index
+        for p in gone:
+            for bit in self._scope(p)[4]:
+                heads ^= bit
+                del scope_of[bit]
+        for p in made:
             scope = self._scope(p)
             for bit in scope[4]:
                 heads |= bit
                 scope_of[bit] = scope
-        return heads, scope_of
+        index[0] = heads
 
-    def has_value(self, index: tuple[int, dict[int, tuple]], q: int) -> bool:
+    def has_value(self, index: list, q: int) -> bool:
         """Whether q is a one- or two-clade value of some prime's
         materialization in the composition that comp_index indexed.
 
@@ -377,65 +410,117 @@ class _Solver:
         self.fl_memo: dict = {}
         self.memos = {"C": self.fc_memo, "P": self.fp_memo, "L": self.fl_memo}
         self.cands: list[dict] = [{}, {}]
+        self.prime_cands: list[dict] = [{}, {}]
 
     # -- rule machinery ------------------------------------------------------
 
+    def prime_candidates(self, s: int, p) -> list:
+        """(node, rule, prime, queries) of each head of prime p on side s
+        that a rule may contract: a dangling subtree's internal head for
+        Rule 1, a cycle top's heads other than its reticulation for Rule 2."""
+        cache = self.prime_cands[s]
+        out = cache.get(p)
+        if out is None:
+            nd = self.nd[s]
+            out = cache[p] = []
+            if p[0] == "D":
+                if p[1] not in nd.n.leaf_label:
+                    out.append((p[1], 1, p, (nd.d[p[1]],)))
+            else:
+                _, ci, u, v = p
+                t = nd.retic(ci)
+                wa, wb = nd.window_sides(ci, u, v)
+                for z, others in ((nd.next_a(ci, u), wb), (nd.next_b(ci, v), wa)):
+                    if z != t:
+                        out.append((z, 2, p, tuple(nd.d[z] | nd.d[y] for y in (*others, t))))
+        return out
+
     def candidates(self, s: int, comp: tuple) -> list:
-        """(node, rule, prime, queries) tuples, NodeId-sorted."""
+        """The prime_candidates of comp's primes, NodeId-sorted."""
         cache = self.cands[s]
         if comp not in cache:
-            nd = self.nd[s]
             out = []
             for p in comp:
-                if p[0] == "D":
-                    u = p[1]
-                    if u not in nd.n.leaf_label:
-                        out.append((u, 1, p, (nd.d[u],)))
-                else:
-                    _, ci, u, v = p
-                    t = nd.retic(ci)
-                    wa, wb = nd.window_sides(ci, u, v)
-                    for z, others in ((nd.next_a(ci, u), wb), (nd.next_b(ci, v), wa)):
-                        if z == t:
-                            continue
-                        queries = tuple(nd.d[z] | nd.d[y] for y in (*others, t))
-                        out.append((z, 2, p, queries))
-            out.sort(key=lambda c: c[0])
+                out += self.prime_candidates(s, p)
+            out.sort(key=_node)
             cache[comp] = out
         return cache[comp]
 
     def advance(self, s: int, comp: tuple, prime, z: NodeId) -> tuple:
-        """Contract the root edge onto z, a head of `prime`: z's children
-        become primes, and a cycle top also advances its key past z, whose
-        on-cycle child it keeps."""
+        """Contract the root edge onto z, a head of `prime` in comp (side s):
+        the primes `advanced` gives replace it."""
         nd = self.nd[s]
-        frags = [q for q in comp if q != prime]
-        ci = None
-        if prime[0] == "C":
-            _, ci, u, v = prime
-            ends = (z, v) if z == nd.next_a(ci, u) else (u, z)
-            frags.append(nd.norm_cycle(ci, *ends))
-        frags.extend(nd.node_fragments(z, skip_on_cycle=ci))
-        return _sort_comp(nd, frags)
+        return _sort_comp(nd, [q for q in comp if q != prime] + nd.advanced(prime, z))
 
-    def firings(self, k1: tuple, k2: tuple):
-        """Every safe contraction of (k1, k2) in schedule order: Rule 1
-        before Rule 2, side 0 before side 1, lowest node first. Yields
-        (side, node, queries, contracted pair)."""
+    def cascade(self, k1: tuple, k2: tuple, skip: int | None = None):
+        """Rules 1 and 2 fired from (k1, k2) to their fixed point: each
+        firing is the least enabled candidate by (rule, side, node) of the
+        pair it fires on, where a candidate is enabled if none of its
+        queries is a value of the other side, nor skip. Returns the firings
+        as (side, node, rule, prime) and the fixed point pair.
+
+        Each (rule, side) list keeps its position across firings, as a
+        blocked candidate stays blocked (see the module docstring); the
+        candidates of the primes a firing makes join through a heap per
+        list. The fixed point is sorted once, on each side that fired."""
         comps = (k1, k2)
-        index = [None, None]  # [s]: the other side's comp_index, built on first query
-        for rule in (1, 2):
-            for s in (0, 1):
-                other = self.nd[1 - s]
-                for z, kind, prime, queries in self.candidates(s, comps[s]):
-                    if kind != rule:
-                        continue
-                    if index[s] is None:
-                        index[s] = other.comp_index(comps[1 - s])
-                    if any(other.has_value(index[s], q) for q in queries):
-                        continue
-                    new_comp = self.advance(s, comps[s], prime, z)
-                    yield s, z, queries, ((new_comp, k2) if s == 0 else (k1, new_comp))
+        lists = (self.candidates(0, k1), self.candidates(1, k2))
+        at = [0, 0, 0, 0]  # [2 * (rule - 1) + side]: next position in lists[side]
+        made_cands = ([], [], [], [])  # same slots: heaps of firing-made candidates
+        live: list = [None, None]  # [side]: its primes, once it has fired
+        index: list = [None, None]  # [side]: comp_index of its primes
+        fired = []
+        slot = 0
+        while slot < 4:
+            rule, s = _SLOTS[slot]
+            lst, heap, alive = lists[s], made_cands[slot], live[s]
+            i, end = at[slot], len(lst)
+            o = 1 - s
+            has_value = self.nd[o].has_value
+            while True:  # to this list's first enabled candidate, if any
+                while i < end and (
+                    lst[i][1] != rule or (alive is not None and lst[i][2] not in alive)
+                ):
+                    i += 1
+                while heap and heap[0][2] not in alive:
+                    heappop(heap)
+                if heap and (i == end or heap[0][0] < lst[i][0]):
+                    cand = heappop(heap)
+                elif i < end:
+                    cand = lst[i]
+                    i += 1
+                else:
+                    cand = None
+                    break
+                queries = cand[3]
+                if skip in queries:
+                    continue
+                if index[o] is None:
+                    index[o] = self.nd[o].comp_index(comps[o] if live[o] is None else live[o])
+                if not any(has_value(index[o], q) for q in queries):
+                    break
+            at[slot] = i
+            if cand is None:
+                slot += 1
+                continue
+            z, _, prime, _ = cand
+            fired.append((s, z, rule, prime))
+            nd = self.nd[s]
+            if alive is None:
+                alive = live[s] = set(comps[s])
+            made = nd.advanced(prime, z)
+            alive.remove(prime)
+            alive.update(made)
+            if index[s] is not None:
+                nd.reindex(index[s], (prime,), made)
+            for p in made:
+                for c in self.prime_candidates(s, p):
+                    heappush(made_cands[2 * (c[1] - 1) + s], c)
+            slot = 0
+        point = tuple(
+            comps[s] if live[s] is None else _sort_comp(self.nd[s], live[s]) for s in (0, 1)
+        )
+        return fired, point
 
     # -- recurrences -----------------------------------------------------------
     #
@@ -513,20 +598,19 @@ class _Solver:
         return val, choice
 
     def fC(self, k1: tuple, k2: tuple):
-        fired = next(self.firings(k1, k2), None)
-        if fired is not None:
-            s, z, _, pair = fired
-            subs = (("C", pair),)
-            return (yield from self._sum(1, subs, ("rule", *_on_side(s, (z,)), False, subs)))
-
-        by_ls1 = {self.nd[0].prime_leafset(p): p for p in k1}
-        by_ls2 = {self.nd[1].prime_leafset(p): p for p in k2}
-        if len(by_ls1) != len(k1) or len(by_ls2) != len(k2):
-            raise SelfCheckFailed(f"primes share a leaf set: {k1} vs {k2}")
+        fired, (f1, f2) = self.cascade(k1, k2)
+        by_ls1 = {self.nd[0].prime_leafset(p): p for p in f1}
+        by_ls2 = {self.nd[1].prime_leafset(p): p for p in f2}
+        if len(by_ls1) != len(f1) or len(by_ls2) != len(f2):
+            raise SelfCheckFailed(f"primes share a leaf set: {f1} vs {f2}")
         if set(by_ls1) != set(by_ls2):
             return INF, None
+        nodes: tuple[list, list] = ([], [])
+        for s, z, *_ in fired:
+            nodes[s].append(z)
         subs = tuple(("P", (by_ls1[ls], by_ls2[ls])) for ls in sorted(by_ls1))
-        return (yield from self._sum(0, subs, ("match", (), (), False, subs)))
+        match = ("match", tuple(nodes[0]), tuple(nodes[1]), False, subs)
+        return (yield from self._sum(len(fired), subs, match))
 
     def fP(self, p1, p2):
         nd1, nd2 = self.nd
@@ -838,23 +922,18 @@ def apply_rules(n1: Network, n2: Network) -> tuple[Network, Network, int]:
     """Exhaustively apply the safe Rules 1/2 to both networks; returns the
     reduced pair and the number of contractions.
 
-    The rules are fC's: from the two root compositions, each step replays the
-    first firing on its network, so the schedule is the DP's. The one
-    difference is the full leaf set, which the other network's root
-    witnesses but has_value leaves out, so a firing that queries it is
-    skipped. Inputs are solve's: weakly galled trees on one leaf set without
-    internal degree-2 nodes.
+    The rules are fC's: each firing of the cascade from the two root
+    compositions is replayed on its network, so the schedule is the DP's.
+    The one difference is the full leaf set, which the other network's root
+    witnesses but has_value leaves out, so the cascade skips a candidate
+    that queries it. Inputs are solve's: weakly galled trees on one leaf
+    set without internal degree-2 nodes.
     """
     solver = _Solver(n1, n2)
     nd1, nd2 = solver.nd
-    full = nd1.d[n1.root]
-    pair = (nd1.decompose(n1.root), nd2.decompose(n2.root))
+    roots = (nd1.decompose(n1.root), nd2.decompose(n2.root))
+    fired, _ = solver.cascade(*roots, skip=nd1.d[n1.root])
     nets = [n1, n2]
-    count = 0
-    while True:
-        fired = next((f for f in solver.firings(*pair) if full not in f[2]), None)
-        if fired is None:
-            return nets[0], nets[1], count
-        s, z, _, pair = fired
+    for s, z, *_ in fired:
         nets[s] = contract_admissible(nets[s], nets[s].root, z)
-        count += 1
+    return nets[0], nets[1], len(fired)

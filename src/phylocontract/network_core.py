@@ -35,7 +35,16 @@ class Network:
     every other network comes from one of them.
     """
 
-    __slots__ = ("succ", "pred", "leaf_label", "root", "_universe", "_clades", "_depths")
+    __slots__ = (
+        "succ",
+        "pred",
+        "leaf_label",
+        "root",
+        "_universe",
+        "_clades",
+        "_depths",
+        "_order",
+    )
 
     def __init__(
         self,
@@ -57,6 +66,7 @@ class Network:
         self._universe: tuple[str, ...] | None = None
         self._clades: dict[NodeId, int] | None = None
         self._depths: dict[NodeId, int] | None = None
+        self._order: tuple[NodeId, ...] | None = None
 
     # -- basic queries -------------------------------------------------------
 
@@ -257,8 +267,11 @@ def topological_order(n: Network) -> list[NodeId]:
     """Deterministic topological order (smallest available NodeId first).
 
     Raises CyclicGraph on a directed cycle, which the unchecked
-    `Network(...)` constructor lets through.
+    `Network(...)` constructor lets through. The order is computed once per
+    network; every call returns a fresh list, which the caller may change.
     """
+    if n._order is not None:
+        return list(n._order)
     remaining = {u: len(n.pred[u]) for u in n.succ}
     heap = [u for u in n.succ if remaining[u] == 0]
     heapq.heapify(heap)
@@ -272,6 +285,7 @@ def topological_order(n: Network) -> list[NodeId]:
                 heapq.heappush(heap, v)
     if len(order) != len(n.succ):
         raise CyclicGraph("directed cycle detected")
+    n._order = tuple(order)
     return order
 
 

@@ -120,3 +120,16 @@ def src_env() -> dict[str, str]:
     src = str(Path(__file__).resolve().parents[1] / "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     return {**os.environ, "PYTHONPATH": path}
+
+
+def cascade_pairs(solver, k1: tuple, k2: tuple):
+    """The composition pairs a rule cascade from (k1, k2) passes through,
+    each with the number of firings before it: (k1, k2) first, the fixed
+    point last. Each firing is replayed with `_Solver.advance`."""
+    fired, point = solver.cascade(k1, k2)
+    pair = [k1, k2]
+    yield (k1, k2), 0
+    for step, (s, z, _, prime) in enumerate(fired, start=1):
+        pair[s] = solver.advance(s, pair[s], prime, z)
+        yield tuple(pair), step
+    assert tuple(pair) == point, (k1, k2)

@@ -69,6 +69,15 @@ def test_validate_rejects_bad_syntax(files, capsys):
     assert "line 1" in err
 
 
+@pytest.mark.parametrize("digit", ["\u00b2", "\u2463"], ids=["superscript two", "circled four"])
+def test_hybrid_tag_refuses_digits_int_cannot_read(files, capsys, digit):
+    # str.isdigit accepts these characters but int() does not: the tag is a
+    # syntax error with exit 2, not a traceback
+    code, out, err = run(capsys, ["validate", files("t.nwk", f"((a)#H{digit},(#H{digit},b));")])
+    assert (code, out) == (2, "")
+    assert err == "error: SyntaxError: expected integer after '#H' (line 1, col 5)\n"
+
+
 @pytest.mark.parametrize(
     "argv, data, byte, where",
     [

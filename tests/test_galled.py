@@ -188,19 +188,46 @@ def test_rules_require_equal_universes(t3a):
         apply_rules(t3a, other)
 
 
-def test_firings_follow_the_schedule():
+def _rule_status(solver, comps) -> dict:
+    """(rule, side, node, prime) -> enabled, for every rule candidate of the
+    pair, from a fresh comp_index of the other side; checks on the way that
+    no dangling prime's head is side-internal."""
+    status = {}
+    for s in (0, 1):
+        nd, other = solver.nd[s], solver.nd[1 - s]
+        assert not any(p[0] == "D" and p[1] in nd.side_of for p in comps[s]), comps[s]
+        index = other.comp_index(comps[1 - s])
+        for z, rule, prime, queries in solver.candidates(s, comps[s]):
+            status[rule, s, z, prime] = not any(other.has_value(index, q) for q in queries)
+    return status
+
+
+def test_cascade_follows_the_schedule():
     # The digest below reaches the same fixed point under any firing order,
-    # so the order itself is checked here: Rule 1 before Rule 2, network 1
-    # before network 2, lowest node first, on each pair's root compositions.
+    # so the order itself is checked here, on each pair's root compositions,
+    # one firing at a time against a from-scratch reference: each firing is
+    # the least enabled (rule, side, node) of the pair it fires on (Rule 1
+    # before Rule 2, network 1 before network 2, lowest node first), and no
+    # candidate that survives a firing changes status, which is what lets
+    # the cascade resume its scan.
     both_rules = both_sides = 0
     for n1, n2 in _rules_digest_pairs():
         solver = _Solver(n1, n2)
         comps = tuple(nd.decompose(nd.n.root) for nd in solver.nd)
-        rule = {(s, z): r for s in (0, 1) for z, r, *_ in solver.candidates(s, comps[s])}
-        order = [(rule[s, z], s, z) for s, z, _, _ in solver.firings(*comps)]
-        assert order == sorted(order)
-        both_rules += len({r for r, _, _ in order}) == 2
-        both_sides += len({s for _, s, _ in order}) == 2
+        fired, point = solver.cascade(*comps)
+        status = _rule_status(solver, comps)
+        for s, z, rule, prime in fired:
+            firing = (rule, s, z, prime)
+            assert firing == min(c for c, on in status.items() if on)
+            comps = tuple(
+                solver.advance(s, comps[s], prime, z) if t == s else comps[t] for t in (0, 1)
+            )
+            after = _rule_status(solver, comps)
+            assert all(status.get(c, on) == on for c, on in after.items()), firing
+            status = after
+        assert comps == point and not any(status.values())
+        both_rules += len({rule for _, _, rule, _ in fired}) == 2
+        both_sides += len({s for s, *_ in fired}) == 2
     assert both_rules >= 72 and both_sides >= 125  # as counted when written
 
 

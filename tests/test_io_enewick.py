@@ -157,6 +157,13 @@ def test_syntax_error_carries_position():
     assert exc.value.col >= 1
 
 
+def test_hybrid_tag_reads_any_decimal_digit():
+    # int() reads every Unicode decimal digit: Arabic-Indic three is tag 3
+    n = parse_enewick("((a)#H\u0663,(#H3,b));")
+    assert len(n.reticulations()) == 1
+    assert write_enewick(n) == "((a)#H1,(#H1,b));"
+
+
 def test_unresolved_hybrid_tag():
     with pytest.raises(UnresolvedHybridTag):
         parse_enewick("((#H7,1),2);")

@@ -5,20 +5,21 @@ import hashlib
 import json
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
-from conftest import caterpillar_edgelist, gen_wgt, perturb, src_env
+from conftest import cascade_pairs, caterpillar_edgelist, gen_wgt, perturb, src_env
 from phylocontract import galled, mcc_dp
 from phylocontract.cli import _witness_json
 from phylocontract.edit_ops import validate_witness
 from phylocontract.errors import Degree2Node, LeafSetMismatch, NotWeaklyGalled
 from phylocontract.galled import is_weakly_galled
-from phylocontract.generators import SplitMix64, diameter_pair
+from phylocontract.generators import SplitMix64, diameter_pair, random_wgt
 from phylocontract.io_enewick import parse_edgelist, parse_enewick, write_enewick
 from phylocontract.mcc_dp import _Solver, solve, solve_with_stats
-from phylocontract.mcc_oracle import exact_mcc, is_contraction
+from phylocontract.mcc_oracle import exact_mcc, is_contraction, tree_mcc
 from phylocontract.network_core import is_isomorphic
 
 
@@ -179,6 +180,30 @@ def test_common_network_is_contraction_of_both():
         assert is_contraction(n2, m) is not None
 
 
+# -- agreement at scale -----------------------------------------------------------
+
+
+@pytest.mark.parametrize("leaves", [300, 600, 1200])
+def test_matches_tree_mcc_on_independent_trees(leaves):
+    # Two trees share little, so the root's rule cascade contracts most of
+    # both: tree_mcc, which keeps the common clades, is the reference.
+    n1, n2 = random_wgt(leaves, 0, 1), random_wgt(leaves, 0, 2)
+    delta, m, _, _ = solve(n1, n2)
+    want, m_tree, _, _ = tree_mcc(n1, n2)
+    assert delta == want and is_isomorphic(m, m_tree)
+
+
+def test_independent_pair_with_cycles_is_symmetric_and_fast():
+    # delta 1735 as the one-firing-per-entry engine gave it, which took
+    # about 3 s per solve on a 2-core x86_64 container; the cascade takes
+    # about 0.1 s. The 2 s bound per solve is a gate on the cascade's cost.
+    n1, n2 = random_wgt(1300, 20, 0), random_wgt(1300, 20, 1)
+    for a, b in ((n1, n2), (n2, n1)):
+        start = time.perf_counter()
+        delta = solve(a, b)[0]
+        assert delta == 1735 and time.perf_counter() - start < 2.0
+
+
 # -- table instrumentation ------------------------------------------------------
 
 
@@ -206,20 +231,21 @@ def test_stats_identical_pair_exercises_leaf_table():
 # bytes `mcc wgt --emit/--witness` writes. The pairs are beyond the oracle's
 # reach, so these values are their only reference: deltas and digests were
 # recorded from the solver that built a clade set per prime, entry counts
-# from the one that answers shared subtrees at once and skips alternatives
-# whose internal-count bound already loses.
+# from the one that answers shared subtrees at once, skips alternatives
+# whose internal-count bound already loses and runs each rule cascade in one
+# fC entry.
 FROZEN = [
-    ((20, 2, 11, 3), (3, 27, 25, 10, "cfd8e7a363572cc3", "31695a9d16a18d39")),
-    ((24, 3, 21, 0), (41, 41, 25, 0, "754a24c226ea592b", "2f77d21535c4d890")),
-    ((34, 3, 12, 10), (10, 99, 54, 14, "164754dbbd67c4b8", "39df91d26de7dcf8")),
-    ((48, 4, 13, 5), (5, 60, 51, 21, "2c35d99253889607", "3bd38115f3f7b1af")),
-    ((60, 5, 14, 0), (95, 89, 60, 0, "76d98ab49c119232", "176bf46005c9bb34")),
-    ((72, 2, 15, 4), (4, 128, 67, 25, "5f110b45be4be341", "8edf87226636e02f")),
-    ((85, 3, 16, 12), (12, 121, 80, 15, "3c98d40575a655fa", "0d4cab98276b3b08")),
-    ((96, 4, 17, 6), (6, 97, 72, 19, "2ca1857e6e832797", "185e18f9d8b0b322")),
-    ((108, 5, 18, 0), (154, 147, 108, 0, "6d1e4e0f410fd144", "90db0c592e5a8055")),
-    ((120, 3, 19, 2), (2, 107, 67, 30, "533ce2d903699fc2", "bdd15fd623f60f9f")),
-    ((30, 5, 20, 0), (56, 50, 30, 0, "fd20c8da0a26d4c8", "a378b194eaf59c57")),
+    ((20, 2, 11, 3), (3, 16, 25, 10, "cfd8e7a363572cc3", "31695a9d16a18d39")),
+    ((24, 3, 21, 0), (41, 2, 25, 0, "754a24c226ea592b", "2f77d21535c4d890")),
+    ((34, 3, 12, 10), (10, 42, 54, 14, "164754dbbd67c4b8", "39df91d26de7dcf8")),
+    ((48, 4, 13, 5), (5, 38, 51, 21, "2c35d99253889607", "3bd38115f3f7b1af")),
+    ((60, 5, 14, 0), (95, 1, 60, 0, "76d98ab49c119232", "176bf46005c9bb34")),
+    ((72, 2, 15, 4), (4, 65, 67, 25, "5f110b45be4be341", "8edf87226636e02f")),
+    ((85, 3, 16, 12), (12, 55, 80, 15, "3c98d40575a655fa", "0d4cab98276b3b08")),
+    ((96, 4, 17, 6), (6, 47, 72, 19, "2ca1857e6e832797", "185e18f9d8b0b322")),
+    ((108, 5, 18, 0), (154, 1, 108, 0, "6d1e4e0f410fd144", "90db0c592e5a8055")),
+    ((120, 3, 19, 2), (2, 61, 67, 30, "533ce2d903699fc2", "bdd15fd623f60f9f")),
+    ((30, 5, 20, 0), (56, 1, 30, 0, "fd20c8da0a26d4c8", "a378b194eaf59c57")),
 ]
 
 
@@ -395,10 +421,18 @@ def test_solved_values_cover_the_internal_count_imbalance():
             "P": lambda nd, prime: _comp_internals(nd, (prime,)),
             "L": _run_internals,
         }
+        # an fC entry stands for every pair its rule cascade passes through,
+        # each worth the entry's value less the firings before it
+        seen = set()
         for table, count in counts.items():
-            for (a, b), (value, _) in solver.memos[table].items():
-                assert value >= abs(count(nd1, a) - count(nd2, b)), (table, a, b, value)
-                checked += 1
+            for key, (value, _) in solver.memos[table].items():
+                steps = cascade_pairs(solver, *key) if table == "C" else [(key, 0)]
+                for (a, b), step in steps:
+                    if (table, a, b) in seen:
+                        continue
+                    seen.add((table, a, b))
+                    assert value - step >= abs(count(nd1, a) - count(nd2, b)), (table, a, b)
+                    checked += 1
         # the solver's own counts, which its bounds use, agree with the walks
         for s, nd in enumerate(solver.nd):
             for key in solver.fp_memo:
@@ -472,13 +506,15 @@ def _materialized_values(nd, comp) -> set[int]:
     return out
 
 
-# Rule queries asked over the solved fC entries of each group of pairs, at
-# least as many as its first pair alone gave when the floors were set (4109
-# in all): fewer means the DP now evaluates fewer entries and this test
-# covers less. Once the DP answered shared subtrees at once and pruned by
-# internal counts, the first pairs of groups 0, 1 and 3 fell to 660, 386
-# and 1175 queries; the independent pairs added after them restore 1385,
-# 807 and 2086.
+# Rule queries asked over the pairs that the rule cascades of the solved fC
+# entries pass through (the fC entries themselves, before each cascade ran
+# in one entry), for each group of pairs: at least as many as its first
+# pair alone gave when the floors were set (4109 in all). Fewer means the
+# DP now evaluates fewer entries and this test covers less. Once the DP
+# answered shared subtrees at once and pruned by internal counts, the first
+# pairs of groups 0, 1 and 3 fell to 660, 386 and 1175 queries; the
+# independent pairs added after them restore 1385, 807 and 2086. Replaying
+# each cascade asks exactly the queries the one-firing entries asked.
 ASKED_FLOOR = {
     ((34, 3, 12, 10), (40, 3, 31, 0)): 1243,
     ((48, 4, 13, 5), (36, 2, 33, 0)): 596,
@@ -493,7 +529,8 @@ def test_has_value_matches_materialized_clades(spec):
     for pair in spec:
         solver = _Solver(*_frozen_pair(*pair))
         solver.run()
-        for comps in list(solver.fc_memo):
+        cascades = (cascade_pairs(solver, *key) for key in list(solver.fc_memo))
+        for comps in dict.fromkeys(c for steps in cascades for c, _ in steps):
             for s in (0, 1):
                 other = solver.nd[1 - s]
                 known = _materialized_values(other, comps[1 - s])
