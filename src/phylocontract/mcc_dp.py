@@ -39,13 +39,15 @@ other composition's 1- and 2-clades. Each network's witnesses come from its
 cycle pair. A query finds the one prime that can hold the value and tests
 those witnesses against its reach bitmask, so no clade set is ever built.
 A cascade resumes one scan across its firings instead of restarting it. A
-firing on side s removes from side s only values among its own queries;
-none of them is a value of side 1 - s, since the firing was enabled, and
-every query of a candidate is a value of the candidate's own side. So no
-surviving candidate changes status, a blocked one stays blocked, and only
-the candidates of the primes a firing makes need a check. This rests on
-has_value's witnesses, which hold because no dangling prime's head is
-side-internal.
+firing on side s replaces a prime by pieces of its own materialization, so
+it adds no value to side s, and it removes only values among its own
+queries; none of them is a value of side 1 - s, since the firing was
+enabled, and every query of a candidate is a value of the candidate's own
+side. So no answer to a query of side 1 - s changes: no surviving candidate
+changes status, a blocked one stays blocked, only the candidates of the
+primes a firing makes need a check, and the index of the composition the
+cascade started from still answers every query. This rests on has_value's
+witnesses, which hold because no dangling prime's head is side-internal.
 
 Costs count contractions on both sides; the optimum then satisfies
 delta = |I1| + |I2| - 2 |I(M)|. Each memoized choice is its traceback
@@ -321,27 +323,18 @@ class _NetData:
             self._scope_cache[p] = got
         return got
 
-    def comp_index(self, comp) -> list:
-        """[mask of all heads, head mask -> scope] for the primes of comp."""
-        index = [0, {}]
-        self.reindex(index, (), comp)
-        return index
-
-    def reindex(self, index: list, gone, made) -> None:
-        """Update a comp_index in place: primes `gone` leave, `made` join."""
-        heads, scope_of = index
-        for p in gone:
-            for bit in self._scope(p)[4]:
-                heads ^= bit
-                del scope_of[bit]
-        for p in made:
+    def comp_index(self, comp: tuple) -> tuple[int, dict[int, tuple]]:
+        """(mask of all heads, head mask -> scope) for the primes of comp."""
+        heads = 0
+        scope_of = {}
+        for p in comp:
             scope = self._scope(p)
             for bit in scope[4]:
                 heads |= bit
                 scope_of[bit] = scope
-        index[0] = heads
+        return heads, scope_of
 
-    def has_value(self, index: list, q: int) -> bool:
+    def has_value(self, index: tuple[int, dict[int, tuple]], q: int) -> bool:
         """Whether q is a one- or two-clade value of some prime's
         materialization in the composition that comp_index indexed.
 
@@ -460,15 +453,17 @@ class _Solver:
         as (side, node, rule, prime) and the fixed point pair.
 
         Each (rule, side) list keeps its position across firings, as a
-        blocked candidate stays blocked (see the module docstring); the
-        candidates of the primes a firing makes join through a heap per
-        list. The fixed point is sorted once, on each side that fired."""
+        blocked candidate stays blocked, and each side's comp_index, built
+        from its starting composition, serves the whole cascade (see the
+        module docstring). The candidates of the primes a firing makes join
+        through a heap per list. The fixed point is sorted once, on each
+        side that fired."""
         comps = (k1, k2)
         lists = (self.candidates(0, k1), self.candidates(1, k2))
         at = [0, 0, 0, 0]  # [2 * (rule - 1) + side]: next position in lists[side]
         made_cands = ([], [], [], [])  # same slots: heaps of firing-made candidates
         live: list = [None, None]  # [side]: its primes, once it has fired
-        index: list = [None, None]  # [side]: comp_index of its primes
+        index: list = [None, None]  # [side]: comp_index of comps[side]
         fired = []
         slot = 0
         while slot < 4:
@@ -496,7 +491,7 @@ class _Solver:
                 if skip in queries:
                     continue
                 if index[o] is None:
-                    index[o] = self.nd[o].comp_index(comps[o] if live[o] is None else live[o])
+                    index[o] = self.nd[o].comp_index(comps[o])
                 if not any(has_value(index[o], q) for q in queries):
                     break
             at[slot] = i
@@ -511,8 +506,6 @@ class _Solver:
             made = nd.advanced(prime, z)
             alive.remove(prime)
             alive.update(made)
-            if index[s] is not None:
-                nd.reindex(index[s], (prime,), made)
             for p in made:
                 for c in self.prime_candidates(s, p):
                     heappush(made_cands[2 * (c[1] - 1) + s], c)

@@ -36,14 +36,7 @@ class Network:
     """
 
     __slots__ = (
-        "succ",
-        "pred",
-        "leaf_label",
-        "root",
-        "_universe",
-        "_clades",
-        "_depths",
-        "_order",
+        "succ", "pred", "leaf_label", "root", "_universe", "_clades", "_depths", "_order"
     )
 
     def __init__(
