@@ -89,7 +89,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import partial
 from heapq import heappop, heappush
-from operator import itemgetter
 
 from .edit_ops import common_contraction, contract_admissible
 from .errors import Degree2Node, LeafSetMismatch, SelfCheckFailed
@@ -99,7 +98,6 @@ from .network_core import Network, NodeId, _mask_nodes, topological_order
 __all__ = ["solve", "solve_with_stats", "DpStats", "apply_rules"]
 
 INF = float("inf")
-_node = itemgetter(0)
 _SLOTS = ((1, 0), (1, 1), (2, 0), (2, 1))  # (rule, side) in schedule order
 
 
@@ -435,7 +433,7 @@ class _Solver:
             out = []
             for p in comp:
                 out += self.prime_candidates(s, p)
-            out.sort(key=_node)
+            out.sort(key=lambda c: c[0])
             cache[comp] = out
         return cache[comp]
 
