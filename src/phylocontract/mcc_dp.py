@@ -71,10 +71,23 @@ contractions on materializations of I1 and I2 internal nodes, with
 I1 - c1 = I2 - c2. An alternative that makes f1 and f2 contractions itself
 therefore costs at least f1 + f2 + |(I1 - f1) - (I2 - f2)|: its own charge
 plus the internal-count imbalance left after it. A lateral split costs at
-least the imbalances of its two halves. Memo values depend only on their
-keys and every sub-entry is strictly smaller than its entry, so the order
-of evaluation cannot change a value, and the stored choices, delta and
-witnesses are those of the exhaustive scan; only the memo tables shrink.
+least the imbalances of its two halves. A contraction that leaves two or
+more primes on one side against a single prime on the other forces a
+contraction on the other side too: rule firings never lower a
+composition's prime count, and f_C matches primes one to one. So a
+contracted cycle-top edge, whose head keeps a hang beside the advanced top,
+and a contracted dangling edge whose head splits into two or more primes
+each cost at least 2 + |I1 - I2|.
+
+Two stops save building alternatives, not only evaluating them. f_L
+builds its splits in position order and returns the first whose value
+reaches the floor |I1 - I2|, which no alternative can beat. A pair of cycle
+tops builds its bottom pairs by p1's path length, (t1, t1) first, and
+builds no more once that length alone, with the imbalance it leaves,
+exceeds the best value. Memo values depend only on their keys and every
+sub-entry is strictly smaller than its entry, so the order of evaluation
+cannot change a value, and the stored choices, delta and witnesses are
+those of the exhaustive scan; only the memo tables shrink.
 
 Subtrees the two networks share cost nothing to compare. Every internal
 node with no reticulation at or below it gets an id from an intern table
@@ -88,7 +101,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from heapq import heappop, heappush
+from heapq import heapify, heappop, heappush
 
 from .edit_ops import common_contraction, contract_admissible
 from .errors import Degree2Node, LeafSetMismatch, SelfCheckFailed
@@ -556,21 +569,37 @@ class _Solver:
                         return value
                     gen = stack[-1][2]
 
-    def _first_min(self, alts: list):
+    def _first_min(self, alts: list, groups=()):
         """The first strict minimum among alternatives, without evaluating
-        the ones that cannot be it.
+        the ones that cannot be it, nor building those that come in groups.
 
         alts lists (lower bound, thunk) in tie-break order; a thunk returns
         a recurrence-style generator whose value is at least its bound.
+        groups yields more alternatives as (floor, [(bound, position,
+        thunk)]): floors never decrease and none exceeds its group's
+        bounds, and positions come after those of alts, in tie-break order.
         Thunks run by (bound, position), and the scan stops at the first one
         whose (bound, position) exceeds the best (value, position) so far:
         neither it nor any later one can be smaller, or equal at an earlier
-        position. The result is the minimum of (value, position), exactly
-        what an exhaustive scan that keeps the first strict minimum returns;
-        (INF, None) when every value is INF."""
+        position. A group is built only once its floor is at most the best
+        value and the least bound built, so every alternative runs as it
+        would had all been built first, and the scan stops without the
+        groups whose floor exceeds the best value. The result is the minimum
+        of (value, position), exactly what an exhaustive scan that keeps the
+        first strict minimum returns; (INF, None) when every value is INF."""
+        heap = [(bound, i, thunk) for i, (bound, thunk) in enumerate(alts)]
+        heapify(heap)
+        groups = iter(groups)
+        group = next(groups, None)
         best, choice = (INF, -1), None
-        for i in sorted(range(len(alts)), key=lambda i: alts[i][0]):
-            bound, thunk = alts[i]
+        while True:
+            while group is not None and group[0] <= min(best[0], heap[0][0] if heap else INF):
+                for alt in group[1]:
+                    heappush(heap, alt)
+                group = next(groups, None)
+            if not heap:
+                break
+            bound, i, thunk = heappop(heap)
             if (bound, i) > best:
                 break
             val, got = yield from thunk()
@@ -631,7 +660,10 @@ class _Solver:
     def _case_mixed(self, dside: int, dp, cp):
         """dp = ("D", u) on side dside; cp = cycle top on the other side.
         Keeping the window costs one contraction per window edge, and wins
-        ties against contracting the dangling edge."""
+        ties against contracting the dangling edge. Where u decomposes into
+        two or more primes, contracting the dangling edge forces a firing on
+        cp's side too, as with a contracted cycle top (see _case_cycles),
+        so it costs at least 2 + |I(u) - I(cp)|."""
         nd_d, nd_c = self.nd[dside], self.nd[1 - dside]
         u = dp[1]
         _, ci, v, w = cp
@@ -647,48 +679,79 @@ class _Solver:
         con = ("c2contract", *_on_side(dside, (u,)), False, con_subs)
         charge = len(window) - 1
         i_u, i_c = nd_d.prime_internal(dp), nd_c.prime_internal(cp)
+        forced = 1 if len(dec_u) > 1 else 0  # cp's side must fire too
         alts = [
             (_bound(0, charge, i_u, i_c), partial(self._sum, charge, keep_subs, keep)),
-            (_bound(1, 0, i_u, i_c), partial(self._sum, 1, con_subs, con)),
+            (_bound(1, forced, i_u, i_c), partial(self._sum, 1, con_subs, con)),
         ]
         return (yield from self._first_min(alts))
 
     def _case_cycles(self, p1, p2):
         """Two cycle tops: contract one of the four root-incident cycle
-        edges (cost at least 1 each), or agree on a bottom pair, whose
-        bottom paths alone cost their edge counts."""
+        edges, or agree on a bottom pair, whose bottom paths alone cost
+        their edge counts.
+
+        A contracted edge costs at least 2 + |I1 - I2|. Its head z is a
+        side node, of in-degree 1, so without degree-2 nodes z has a child
+        off the cycle: the contracted side holds at least two primes, the
+        advanced top and z's hang, against the other side's one prime on
+        the same leaf set. Rule firings never lower a composition's prime
+        count, so the fC entry is finite only if its cascade fires on the
+        other side too: both sides contract at least once.
+
+        The bottom pairs come outward from the reticulation, by p1's path
+        length, (t1, t1) first, each keeping its position in the row-major
+        scan of p1's window; _first_min stops building them once the path
+        length alone, with the imbalance it leaves, exceeds the best
+        value."""
         nd1, nd2 = self.nd
-        _, ci, u, v = p1
-        _, cj, w, x = p2
         i1, i2 = nd1.prime_internal(p1), nd2.prime_internal(p2)
+        bound = _bound(1, 1, i1, i2)
         alts = []
         for s, prime, other in ((0, p1, p2), (1, p2, p1)):
             nd = self.nd[s]
             _, ck, a, b = prime
             t = nd.retic(ck)
-            bound = _bound(1 - s, s, i1, i2)  # one contraction, on side s
             for z in (nd.next_a(ck, a), nd.next_b(ck, b)):
                 if z != t:  # absorbing the reticulation closes a cycle
                     alts.append((bound, partial(self._contract_top, s, prime, other, z)))
+        bottoms = self._bottom_pairs(p1, p2, i1, i2, len(alts))
+        return (yield from self._first_min(alts, bottoms))
 
+    def _bottom_pairs(self, p1, p2, i1: int, i2: int, first: int):
+        """_case_cycles' bottom-pair alternatives in groups of one p1 path
+        length, shortest first, as _first_min takes them. a ranges over
+        `above`, p1's window on side a then t1, and b over `below`, t1 then
+        the window on side b; pair (ia, ib) keeps position
+        first + ia * nb + ib of the row-major scan. A group's floor is the
+        bound of its path length alone."""
+        nd1, nd2 = self.nd
+        _, ci, u, v = p1
+        _, cj, w, x = p2
         t1, t2 = nd1.retic(ci), nd2.retic(cj)
         wa1, wb1 = nd1.window_sides(ci, u, v)
-        p1pos, p2pos = nd1.pos[ci], nd2.pos[cj]
+        above, below = (*wa1, t1), (t1, *wb1)
+        na, nb = len(above), len(below)
+        p2pos = nd2.pos[cj]
         lo2, hi2 = p2pos[w], nd2.pos_high(cj, x)
-        for a in (*wa1, t1):
-            for b in (t1, *wb1):
+        for length in range(na + nb - 1):
+            group = []
+            for ib in range(max(0, length - na + 1), min(length, nb - 1) + 1):
+                ia = na - 1 - length + ib
+                a, b = above[ia], below[ib]
                 target = nd1.d[a] | nd1.d[b]
-                cands = []
-                # the pair of cycle cj inside p2's window that carries target
+                # the pair of cycle cj inside p2's window that carries target,
+                # else t2 alone: no such pair carries t2's own clade
                 got = nd2.two_wit.get(target)
                 if got is not None and got[0] == cj and lo2 < got[1] and got[2] < hi2:
-                    cands.append((nd2.order[cj][got[1]], nd2.order[cj][got[2]]))
-                if nd2.d[t2] == target:
-                    cands.append((t2, t2))
-                for c, dd in cands:
-                    bound = _bound(p1pos[b] - p1pos[a], p2pos[dd] - p2pos[c], i1, i2)
-                    alts.append((bound, partial(self._fB, p1, p2, a, b, c, dd)))
-        return (yield from self._first_min(alts))
+                    c, dd = nd2.order[cj][got[1]], nd2.order[cj][got[2]]
+                elif nd2.d[t2] == target:
+                    c = dd = t2
+                else:
+                    continue
+                bound = _bound(length, p2pos[dd] - p2pos[c], i1, i2)
+                group.append((bound, first + ia * nb + ib, partial(self._fB, p1, p2, a, b, c, dd)))
+            yield _bound(length, 0, i1, i2), group
 
     def _contract_top(self, s: int, prime, other, z: NodeId):
         """Contract the root edge of cycle top `prime` (side s) onto z."""
@@ -732,6 +795,12 @@ class _Solver:
         return sum(abs(_run_internal(nd1, r1) - _run_internal(nd2, r2)) for r1, r2 in run_pairs)
 
     def fL(self, r1, r2):
+        """Split both runs at a leaf-count-matched point, or contract each
+        whole. Every value is at least the floor |I(r1) - I(r2)|, so splits
+        are built in position order, one whose bound is the floor runs at
+        once, and one whose value is the floor wins: nothing later can beat
+        it or tie it at an earlier position. Otherwise _first_min chooses
+        among all of them, and what already ran answers from the memo."""
         nd1, nd2 = self.nd
         if _run_union(nd1, r1) != _run_union(nd2, r2):
             return INF, None
@@ -740,6 +809,8 @@ class _Solver:
 
         ci1, s1, lo1, hi1 = r1
         ci2, s2, lo2, hi2 = r2
+        i1, i2 = _run_internal(nd1, r1), _run_internal(nd2, r2)
+        floor = abs(i1 - i2)
         alts = []
         pref2 = nd2.pref[ci2][s2]
         idx2 = nd2.pref_idx[ci2][s2]
@@ -756,9 +827,15 @@ class _Solver:
             halves = _split(r1, r2, k, k2)
             subs = tuple(("L", pair) for pair in halves)
             split = ("split", (), (), False, subs)
-            alts.append((self._imbalance(halves), partial(self._sum, 0, subs, split)))
+            thunk = partial(self._sum, 0, subs, split)
+            bound = self._imbalance(halves)
+            alts.append((bound, thunk))
+            if bound == floor:
+                val, choice = yield from thunk()
+                if val == floor:
+                    return val, choice
         charge = (hi1 - lo1) + (hi2 - lo2)
-        bound = _bound(hi1 - lo1, hi2 - lo2, _run_internal(nd1, r1), _run_internal(nd2, r2))
+        bound = _bound(hi1 - lo1, hi2 - lo2, i1, i2)
         alts.append((bound, partial(self._fullrun, r1, r2, charge)))
         return (yield from self._first_min(alts))
 

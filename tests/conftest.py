@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from phylocontract import contract_admissible, parse_enewick, random_wgt
+from phylocontract import contract_admissible, cycles, is_admissible, parse_enewick, random_wgt
 from phylocontract.errors import GenerationFailed, InadmissibleContraction
 from phylocontract.galled import has_degree2_node
 from phylocontract.generators import SplitMix64
@@ -113,6 +113,33 @@ def caterpillar_edgelist(leaves: int) -> str:
     lines.append("#leaves")
     lines.extend(f"l{i} x{i}" for i in range(leaves))
     return "\n".join(lines) + "\n"
+
+
+def long_cycle(s: int):
+    """One cycle whose two sides have s nodes each; every side node and the
+    reticulation carry one leaf, 4s + 3 nodes in all. In eNewick it is
+    (A,B); where A starts as (x)#H1 and B as #H1, each wrapped s times as
+    (A,a_i) and (B,b_i) for i = s down to 1."""
+    a, b = "(x)#H1", "#H1"
+    for i in range(s, 0, -1):
+        a, b = f"({a},a{i})", f"({b},b{i})"
+    return parse_enewick(f"({a},{b});")
+
+
+def contracted_copy(n, k: int):
+    """n after k contractions, each of the first admissible edge between
+    consecutive side nodes of a cycle, in NodeId order of the network at
+    hand. A k-contraction m of n has delta(n, m) = k."""
+    for _ in range(k):
+        edges = sorted(
+            (x, y)
+            for c in cycles(n)
+            for side in (c.side_a, c.side_b)
+            for x, y in zip(side, side[1:])
+        )
+        u, v = next((u, v) for u, v in edges if is_admissible(n, u, v))
+        n = contract_admissible(n, u, v)
+    return n
 
 
 def src_env() -> dict[str, str]:

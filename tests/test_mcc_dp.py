@@ -2,6 +2,7 @@
 
 import ast
 import hashlib
+import itertools
 import json
 import subprocess
 import sys
@@ -10,7 +11,15 @@ from pathlib import Path
 
 import pytest
 
-from conftest import cascade_pairs, caterpillar_edgelist, gen_wgt, perturb, src_env
+from conftest import (
+    cascade_pairs,
+    caterpillar_edgelist,
+    contracted_copy,
+    gen_wgt,
+    long_cycle,
+    perturb,
+    src_env,
+)
 from phylocontract import galled, mcc_dp
 from phylocontract.cli import _witness_json
 from phylocontract.edit_ops import validate_witness
@@ -232,19 +241,19 @@ def test_stats_identical_pair_exercises_leaf_table():
 # reach, so these values are their only reference: deltas and digests were
 # recorded from the solver that built a clade set per prime, entry counts
 # from the one that answers shared subtrees at once, skips alternatives
-# whose internal-count bound already loses and runs each rule cascade in one
-# fC entry.
+# whose internal-count bound already loses, runs each rule cascade in one
+# fC entry and bounds a contracted cycle top by the split it forces.
 FROZEN = [
-    ((20, 2, 11, 3), (3, 16, 25, 10, "cfd8e7a363572cc3", "31695a9d16a18d39")),
+    ((20, 2, 11, 3), (3, 10, 19, 10, "cfd8e7a363572cc3", "31695a9d16a18d39")),
     ((24, 3, 21, 0), (41, 2, 25, 0, "754a24c226ea592b", "2f77d21535c4d890")),
-    ((34, 3, 12, 10), (10, 42, 54, 14, "164754dbbd67c4b8", "39df91d26de7dcf8")),
-    ((48, 4, 13, 5), (5, 38, 51, 21, "2c35d99253889607", "3bd38115f3f7b1af")),
+    ((34, 3, 12, 10), (10, 16, 34, 14, "164754dbbd67c4b8", "39df91d26de7dcf8")),
+    ((48, 4, 13, 5), (5, 22, 38, 21, "2c35d99253889607", "3bd38115f3f7b1af")),
     ((60, 5, 14, 0), (95, 1, 60, 0, "76d98ab49c119232", "176bf46005c9bb34")),
-    ((72, 2, 15, 4), (4, 65, 67, 25, "5f110b45be4be341", "8edf87226636e02f")),
-    ((85, 3, 16, 12), (12, 55, 80, 15, "3c98d40575a655fa", "0d4cab98276b3b08")),
-    ((96, 4, 17, 6), (6, 47, 72, 19, "2ca1857e6e832797", "185e18f9d8b0b322")),
+    ((72, 2, 15, 4), (4, 18, 34, 24, "5f110b45be4be341", "8edf87226636e02f")),
+    ((85, 3, 16, 12), (12, 22, 59, 15, "3c98d40575a655fa", "0d4cab98276b3b08")),
+    ((96, 4, 17, 6), (6, 23, 54, 18, "2ca1857e6e832797", "185e18f9d8b0b322")),
     ((108, 5, 18, 0), (154, 1, 108, 0, "6d1e4e0f410fd144", "90db0c592e5a8055")),
-    ((120, 3, 19, 2), (2, 61, 67, 30, "533ce2d903699fc2", "bdd15fd623f60f9f")),
+    ((120, 3, 19, 2), (2, 23, 39, 30, "533ce2d903699fc2", "bdd15fd623f60f9f")),
     ((30, 5, 20, 0), (56, 1, 30, 0, "fd20c8da0a26d4c8", "a378b194eaf59c57")),
 ]
 
@@ -412,7 +421,7 @@ def test_solved_values_cover_the_internal_count_imbalance():
     # materializations with I1 and I2 internal nodes costs at least
     # |I1 - I2|. Counted here by walking each entry's materializations.
     checked = 0
-    for n1, n2 in _digest_pairs():
+    for n1, n2 in itertools.chain(_digest_pairs(), _long_pairs()):
         solver = _Solver(n1, n2)
         solver.run()
         nd1, nd2 = solver.nd
@@ -458,6 +467,159 @@ def test_shared_subtrees_are_answered_at_once():
     delta_full, m_full, *witness_full = full.run()
     assert len(full.fp_memo) > n1.num_internal
     assert (delta_full, write_enewick(m_full), witness_full) == (0, write_enewick(m), [w1, w2])
+
+
+# -- long-sided cycles ---------------------------------------------------------
+
+
+def _long_pair(s: int, k: int, flip: bool = False):
+    """long_cycle(s) against its k-contracted copy, swapped if flip."""
+    n = long_cycle(s)
+    pair = (n, contracted_copy(n, k))
+    return pair[::-1] if flip else pair
+
+
+def _long_pairs():
+    """The long-cycle pairs whose output is pinned below: sides of 8, 16 and
+    30 nodes against their 1- and 3-contracted copies, in both orders."""
+    for s in (8, 16, 30):
+        for k in (1, 3):
+            for flip in (False, True):
+                yield _long_pair(s, k, flip)
+
+
+def _traced_tags(solver) -> set[str]:
+    """Tags of the records the traceback of a run solver follows."""
+    nd1, nd2 = solver.nd
+    stack = [("C", (nd1.decompose(nd1.n.root), nd2.decompose(nd2.n.root)))]
+    tags = set()
+    while stack:
+        table, key = stack.pop()
+        if table != "S":
+            choice = solver.memos[table][key][1]
+            tags.add(choice[0])
+            stack.extend(choice[4])
+    return tags
+
+
+# s <= 4 keeps both networks within exact_mcc's 10 internal nodes; a side of
+# s nodes has s - 1 edges to contract.
+@pytest.mark.parametrize(
+    "s,k", [(s, k) for s in (1, 2, 3, 4) for k in range(4) if k <= 2 * (s - 1)]
+)
+def test_long_cycle_matches_oracle(s, k):
+    for flip in (False, True):
+        n1, n2 = _long_pair(s, k, flip)
+        delta, m, w1, w2 = solve(n1, n2)
+        assert delta == exact_mcc(n1, n2)[0] == k
+        for n, w in ((n1, w1), (n2, w2)):
+            ok, why = validate_witness(n, m, w)
+            assert ok, why
+
+
+@pytest.mark.parametrize(
+    "text1,text2,tag",
+    [
+        ("(((((1,(3)#H2),#H2))#H1,2),#H1);", "(((1,2),(3)#H1),#H1);", "c4contract"),
+        ("(((1)#H1,(#H1,2)),3,4,5);", "((1)#H1,(#H1,2),3,4,5);", "c2contract"),
+    ],
+)
+def test_bounded_contractions_still_win(text1, text2, tag):
+    # The forced-split bound prunes contracted cycle tops and contracted
+    # dangling edges; where one is the optimum, the traceback still takes
+    # it and the oracle agrees.
+    n1, n2 = parse_enewick(text1), parse_enewick(text2)
+    solver = _Solver(n1, n2)
+    delta, m, w1, w2 = solver.run()
+    assert delta == exact_mcc(n1, n2)[0]
+    assert tag in _traced_tags(solver)
+
+
+def test_long_cycle_output_digest_is_frozen():
+    # One SHA-256 over delta, the emitted common contraction and the witness
+    # JSON of each long-cycle pair, recorded from the solver that scanned
+    # every bottom pair of every pair of cycle tops.
+    h = hashlib.sha256()
+    for n1, n2 in _long_pairs():
+        delta, m, w1, w2 = solve(n1, n2)
+        witness = json.dumps([_witness_json(w1), _witness_json(w2)], indent=2)
+        h.update(f"{delta}\n{write_enewick(m)}{witness}\n".encode())
+    assert h.hexdigest() == "841a33704de491b85c9f63539cdd4edeaa046fa6dba6f30907b7f3743661614b"
+
+
+@pytest.mark.parametrize("s", [100, 300])
+def test_long_cycle_delta_is_the_contraction_count(s):
+    for k in (1, 3):
+        for flip in (False, True):
+            assert solve(*_long_pair(s, k, flip))[0] == k
+
+
+@pytest.mark.parametrize("s", [25, 50, 100])
+def test_long_cycle_tables_stay_linear(s, monkeypatch):
+    # Against the 3-contracted copy and against itself, the memo tables, the
+    # bottom-pair alternatives and the lateral splits built stay within
+    # 10 s. The solver that scanned every bottom pair made 4868 entries at
+    # s = 40 against the copy; scanning every split point builds s^2 - s
+    # splits against itself.
+    built = {"bottoms": 0, "splits": 0}
+    bottom_pairs, split = _Solver._bottom_pairs, mcc_dp._split
+
+    def counted_bottoms(self, *args):
+        for floor, group in bottom_pairs(self, *args):
+            built["bottoms"] += len(group)
+            yield floor, group
+
+    def counted_split(*args):
+        built["splits"] += 1
+        return split(*args)
+
+    monkeypatch.setattr(_Solver, "_bottom_pairs", counted_bottoms)
+    monkeypatch.setattr(mcc_dp, "_split", counted_split)
+    for k in (0, 3):
+        for flip in (False, True):
+            built.update(bottoms=0, splits=0)
+            solver = _Solver(*_long_pair(s, k, flip))
+            assert solver.run()[0] == k
+            entries = len(solver.fc_memo) + len(solver.fp_memo) + len(solver.fl_memo)
+            assert max(entries, *built.values()) <= 10 * s, (k, flip, entries, built)
+
+
+def test_forced_split_bounds_hold():
+    # The bound on a contracted cycle top, and on a contracted dangling edge
+    # whose head splits into two or more primes, is 2 + |I1 - I2|: evaluated
+    # by a fresh solver, which prunes nothing it is asked for, the
+    # alternative is never cheaper.
+    tops = mixed = 0
+    for n1, n2 in itertools.chain(_digest_pairs(), _long_pairs()):
+        solver = _Solver(n1, n2)
+        solver.run()
+        fresh = _Solver(n1, n2)
+        for (p1, p2), (value, _) in solver.fp_memo.items():
+            if value == mcc_dp.INF or (p1[0], p2[0]) == ("D", "D"):
+                continue
+            i1, i2 = solver.nd[0].prime_internal(p1), solver.nd[1].prime_internal(p2)
+            keys = []
+            if p1[0] == p2[0] == "C":
+                for s, prime, other in ((0, p1, p2), (1, p2, p1)):
+                    nd = solver.nd[s]
+                    _, ck, a, b = prime
+                    for z in (nd.next_a(ck, a), nd.next_b(ck, b)):
+                        if z != nd.retic(ck):
+                            comp = solver.advance(s, (prime,), prime, z)
+                            keys.append((comp, (other,)) if s == 0 else ((other,), comp))
+                tops += len(keys)
+            else:
+                dside = 0 if p1[0] == "D" else 1
+                dp, cp = (p1, p2) if dside == 0 else (p2, p1)
+                nd = solver.nd[dside]
+                if dp[1] in nd.n.leaf_label or len(nd.decompose(dp[1])) < 2:
+                    continue
+                dec = nd.decompose(dp[1])
+                keys.append((dec, (cp,)) if dside == 0 else ((cp,), dec))
+                mixed += 1
+            for key in keys:
+                assert 1 + fresh._evaluate("C", key) >= 2 + abs(i1 - i2), (p1, p2, key)
+    assert tops >= 700 and mixed >= 5, (tops, mixed)
 
 
 # -- rule queries against materialized clade sets -------------------------------
@@ -514,12 +676,23 @@ def _materialized_values(nd, comp) -> set[int]:
 # answered shared subtrees at once and pruned by internal counts, the first
 # pairs of groups 0, 1 and 3 fell to 660, 386 and 1175 queries; the
 # independent pairs added after them restore 1385, 807 and 2086. Replaying
-# each cascade asks exactly the queries the one-firing entries asked.
+# each cascade asks exactly the queries the one-firing entries asked. Once a
+# contracted cycle top was bounded by the split it forces, groups 0, 1 and 3
+# fell to 817, 475 and 984; the long-cycle pairs ("long", s, k, flip) added
+# after them restore them past their floors.
 ASKED_FLOOR = {
-    ((34, 3, 12, 10), (40, 3, 31, 0)): 1243,
-    ((48, 4, 13, 5), (36, 2, 33, 0)): 596,
+    (
+        (34, 3, 12, 10),
+        (40, 3, 31, 0),
+        *(("long", 30, k, flip) for k in (1, 3) for flip in (False, True)),
+    ): 1243,
+    ((48, 4, 13, 5), (36, 2, 33, 0), ("long", 16, 1, False), ("long", 16, 1, True)): 596,
     ((30, 5, 20, 0),): 401,
-    ((72, 2, 15, 4), (50, 4, 32, 0)): 1869,
+    (
+        (72, 2, 15, 4),
+        (50, 4, 32, 0),
+        *(("long", 60, k, flip) for k in (1, 3) for flip in (False, True)),
+    ): 1869,
 }
 
 
@@ -527,7 +700,8 @@ ASKED_FLOOR = {
 def test_has_value_matches_materialized_clades(spec):
     asked = 0
     for pair in spec:
-        solver = _Solver(*_frozen_pair(*pair))
+        n1, n2 = _long_pair(*pair[1:]) if pair[0] == "long" else _frozen_pair(*pair)
+        solver = _Solver(n1, n2)
         solver.run()
         cascades = (cascade_pairs(solver, *key) for key in list(solver.fc_memo))
         for comps in dict.fromkeys(c for steps in cascades for c, _ in steps):
