@@ -179,7 +179,7 @@ def build_clade_index(n: Network) -> CladeIndex:
     twos: dict[int, list[tuple[NodeId, NodeId]]] = {}
     for c in cyc:
         for x, y in c.pairs():
-            twos.setdefault(d[x] | d[y], []).append(tuple(sorted((x, y))))
+            twos.setdefault(d[x] | d[y], []).append((x, y) if x < y else (y, x))
     idx.two_clades = {bits: tuple(sorted(set(ps))) for bits, ps in twos.items()}
 
     if not idx.has_degree2:

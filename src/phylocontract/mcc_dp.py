@@ -35,9 +35,13 @@ entry per cascade, worth its firings plus the match of the fixed point, and
 `apply_rules` replays a cascade from the root compositions to reduce two
 whole networks. A rule only asks whether a clade value occurs among the
 other composition's 1- and 2-clades. Each network's witnesses come from its
-`galled.build_clade_index`: the mask of a value's 1-clade nodes and its one
-cycle pair. A query finds the one prime that can hold the value and tests
-those witnesses against its reach bitmask, so no clade set is ever built.
+`galled.build_clade_index`: the bit positions of a value's 1-clade nodes
+and its one cycle pair. A query tests them against one node mask per
+composition, the union of its primes' reach bitmasks, and a pair of a cycle
+with a top in the composition against that top's window, so no clade set is
+ever built. The union answers as each prime alone would: primes are
+leaf-disjoint, a composition holds at most one top per cycle, and a cycle
+with a top in the composition has its root outside it.
 A cascade resumes one scan across its firings instead of restarting it. A
 firing on side s replaces a prime by pieces of its own materialization, so
 it adds no value to side s, and it removes only values among its own
@@ -122,9 +126,9 @@ class DpStats:
 
 
 class _NetData:
-    """Static per-network tables: clades, cycles, hangs, prefix fingerprints,
-    and the witnesses behind has_value, all read off the network's clade
-    index."""
+    """Static per-network tables: clades, cycles, prefix fingerprints, and
+    the witnesses behind has_value, all read off the network's clade index.
+    reach and internal_mask are its only node-indexed masks."""
 
     def __init__(self, n: Network, idx: CladeIndex, intern: dict):
         self.n = n
@@ -135,7 +139,7 @@ class _NetData:
         internal = set(n.internal_nodes())
         self.internal_mask = sum(1 << self.node_bit[u] for u in internal)
 
-        # reachability and ancestor bitmasks over node indices
+        # reachability bitmasks over node indices
         topo = topological_order(n)
         self.reach: dict[NodeId, int] = {}
         for u in reversed(topo):
@@ -143,12 +147,6 @@ class _NetData:
             for c in n.succ[u]:
                 bits |= self.reach[c]
             self.reach[u] = bits
-        anc: dict[NodeId, int] = {}
-        for u in topo:
-            bits = 1 << self.node_bit[u]
-            for p in n.pred[u]:
-                bits |= anc[p]
-            anc[u] = bits
 
         # An id per internal node with no reticulation at or below it, from
         # the intern table both networks share, keyed by (clade, sorted ids
@@ -169,7 +167,6 @@ class _NetData:
         self.rooted_at: dict[NodeId, list[int]] = {}
         self.side_of: dict[NodeId, tuple[int, int, int]] = {}  # node -> (ci, side, idx)
         self.on_child: dict[tuple[int, NodeId], NodeId] = {}
-        self.hang: dict[tuple[int, NodeId], int] = {}
         self.pref: list[list[list[int]]] = []  # [ci][side] -> prefix array
         self.pref_idx: list[list[dict[int, int]]] = []
         self.ipref: list[list[list[int]]] = []  # [ci][side] -> internal-count prefixes
@@ -186,6 +183,7 @@ class _NetData:
                 for z, nxt in zip(path, path[1:]):
                     self.on_child[(ci, z)] = nxt
 
+            hang = {}  # cycle node -> leaf set of its hang
             below = {}  # cycle node -> internal nodes in its hang
             for z in (*c.side_a, *c.side_b, c.reticulation):
                 on = self.on_child.get((ci, z))
@@ -194,7 +192,7 @@ class _NetData:
                     if ch != on:
                         h |= self.d[ch]
                         hang_nodes |= self.reach[ch]
-                self.hang[(ci, z)] = h
+                hang[z] = h
                 below[z] = (hang_nodes & self.internal_mask).bit_count()
 
             # Hangs are non-empty (no degree-2 nodes) and leaf-disjoint
@@ -205,7 +203,7 @@ class _NetData:
             for nodes in (c.side_a, c.side_b):
                 arr, counts = [0], [0]
                 for z in nodes:
-                    arr.append(arr[-1] | self.hang[(ci, z)])
+                    arr.append(arr[-1] | hang[z])
                     counts.append(counts[-1] + 1 + below[z])
                 prefs.append(arr)
                 prefidx.append({v: i for i, v in enumerate(arr)})
@@ -214,23 +212,19 @@ class _NetData:
             self.pref_idx.append(prefidx)
             self.ipref.append(iprefs)
 
-        # Witnesses: one_wit maps a 1-clade value to the mask of its nodes;
-        # two_wit maps a 2-clade value to (cycle, pos x, pos y, cycle root
-        # mask) of its one pair, pos x < pos y; leaf_anc maps a leaf's clade
-        # bit to the mask of its ancestors.
-        self.leaf_anc = {self.d[x]: anc[x] for x in n.leaf_label}
+        # Witnesses: one_wit maps a 1-clade value to the bit positions of
+        # its nodes; two_wit maps a 2-clade value to (cycle, pos x, pos y)
+        # of its one pair, pos x < pos y.
         self.one_wit = {
-            bits: sum(1 << self.node_bit[u] for u in us)
-            for bits, us in idx.one_clades.items()
+            bits: tuple(self.node_bit[u] for u in us) for bits, us in idx.one_clades.items()
         }
-        self.two_wit: dict[int, tuple[int, int, int, int]] = {}
+        self.two_wit: dict[int, tuple[int, int, int]] = {}
         for bits, ((x, y),) in idx.two_clades.items():
             cj = self.side_of[x if x in self.side_of else y][0]
-            px, py = sorted((self.pos[cj][x], self.pos[cj][y]))
-            self.two_wit[bits] = (cj, px, py, 1 << self.node_bit[self.cycles[cj].root])
+            px, py = self.pos[cj][x], self.pos[cj][y]
+            self.two_wit[bits] = (cj, px, py) if px < py else (cj, py, px)
 
         self._path_cache: dict[tuple, tuple] = {}
-        self._scope_cache: dict[tuple, tuple] = {}
 
     # -- cyclic geometry ---------------------------------------------------
 
@@ -316,42 +310,39 @@ class _NetData:
 
     # -- clade queries on materializations -----------------------------------
 
-    def _scope(self, p) -> tuple:
-        """(node bits, own cycle or -1, window bounds, head masks) of the
-        prime's materialization: a cycle top owns positions strictly between
-        pos[u] and pos_high(v), and its heads are the two exposed nodes."""
-        got = self._scope_cache.get(p)
-        if got is None:
-            if p[0] == "D":
-                heads = (p[1],)
-                got = (self.reach[p[1]], -1, 0, 0)
-            else:
-                _, ci, u, v = p
-                heads = (self.next_a(ci, u), self.next_b(ci, v))
-                bits = self.reach[heads[0]] | self.reach[heads[1]]
-                got = (bits, ci, self.pos[ci][u], self.pos_high(ci, v))
-            got += (tuple(1 << self.node_bit[h] for h in heads),)
-            self._scope_cache[p] = got
-        return got
+    def _scope(self, p) -> int:
+        """Node bits of the prime's materialization: all its heads reach."""
+        if p[0] == "D":
+            return self.reach[p[1]]
+        _, ci, u, v = p
+        return self.reach[self.next_a(ci, u)] | self.reach[self.next_b(ci, v)]
 
-    def comp_index(self, comp: tuple) -> tuple[int, dict[int, tuple]]:
-        """(mask of all heads, head mask -> scope) for the primes of comp."""
-        heads = 0
-        scope_of = {}
+    def comp_index(self, comp: tuple) -> tuple[int, dict[int, tuple[int, int]]]:
+        """(node bits of all of comp's primes, cycle -> window bounds of its
+        top in comp): a cycle top owns the positions strictly between pos[u]
+        and pos_high(v)."""
+        bits = 0
+        tops = {}
         for p in comp:
-            scope = self._scope(p)
-            for bit in scope[4]:
-                heads |= bit
-                scope_of[bit] = scope
-        return heads, scope_of
+            bits |= self._scope(p)
+            if p[0] == "C":
+                _, ci, u, v = p
+                tops[ci] = (self.pos[ci][u], self.pos_high(ci, v))
+        return bits, tops
 
-    def has_value(self, index: tuple[int, dict[int, tuple]], q: int) -> bool:
+    def has_value(self, index: tuple[int, dict[int, tuple[int, int]]], q: int) -> bool:
         """Whether q is a one- or two-clade value of some prime's
         materialization in the composition that comp_index indexed.
 
-        Primes are leaf-disjoint and every witness of q reaches the lowest
-        leaf of q, so only the prime whose head is an ancestor of that leaf
-        can carry q.
+        Testing the union of the primes' node bits answers for each prime
+        alone: primes are leaf-disjoint, and every witness of q inside a
+        materialization brings q's leaves with it, so it lies in the one
+        prime that holds them. A pair of cycle cj counts only inside its
+        top's window when cj has a top in the composition, else only where
+        cj's root is in the union. This rests on two premises: a
+        composition holds at most one top per cycle, and a cycle with a top
+        in the composition has its root outside it, so no other prime
+        carries that cycle's pairs.
 
         Clades of materialized nodes equal their original clades; a cycle
         counts as such only if its root is inside the materialization
@@ -366,22 +357,22 @@ class _NetData:
         deliberately left out: rule blocking must only see clades witnessed
         below the root, else no rule could ever touch a subnetwork whose
         value equals the whole leaf set."""
-        heads, scope_of = index
-        hit = self.leaf_anc[q & -q] & heads
-        if not hit:
-            return False
-        bits, own, lo, hi, _ = scope_of[hit & -hit]
-        if bits & self.one_wit.get(q, 0):
-            return True
+        bits, tops = index
+        for i in self.one_wit.get(q, ()):
+            if bits >> i & 1:
+                return True
         wit = self.two_wit.get(q)
         if wit is None:
             return False
-        cj, px, py, root = wit
-        return bool((lo < px and py < hi) if cj == own else bits & root)
+        cj, px, py = wit
+        window = tops.get(cj)
+        if window is not None:
+            return window[0] < px and py < window[1]
+        return bool(bits >> self.node_bit[self.cycles[cj].root] & 1)
 
     def prime_internal(self, p) -> int:
         """Internal nodes of the prime's materialization, fresh root aside."""
-        return (self._scope(p)[0] & self.internal_mask).bit_count()
+        return (self._scope(p) & self.internal_mask).bit_count()
 
     def internals_below(self, u: NodeId) -> set[NodeId]:
         return set(_mask_nodes(self.node_of_bit, self.reach[u] & self.internal_mask))

@@ -7,6 +7,7 @@ import json
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -21,7 +22,7 @@ from conftest import (
     src_env,
 )
 from phylocontract import galled, mcc_dp
-from phylocontract.cli import _witness_json
+from phylocontract.cli import _witness_json, main
 from phylocontract.edit_ops import validate_witness
 from phylocontract.errors import Degree2Node, LeafSetMismatch, NotWeaklyGalled
 from phylocontract.galled import is_weakly_galled
@@ -176,6 +177,23 @@ def test_delta_is_symmetric_and_identity_on_samples():
         assert solve(n1, n1)[0] == 0
         # parity: delta differs from |I1| + |I2| by an even amount
         assert (d12 - len(n1.internal_nodes()) - len(n2.internal_nodes())) % 2 == 0
+
+
+def test_delta_breaks_the_triangle_inequality(fixture_dir, capsys):
+    # The paper sets delta apart from the operational distance, which is a
+    # metric: here delta(a, c) = |I(a)| + |I(c)| - 2 exceeds
+    # delta(a, b) + delta(b, c), as if a and c shared only their roots.
+    paths = {x: str(fixture_dir / "triangle" / f"{x}.nwk") for x in "abc"}
+    nets = {x: parse_enewick(Path(p).read_text()) for x, p in paths.items()}
+    got = {}
+    for x, y in ("ab", "bc", "ac"):
+        got[x + y] = solve(nets[x], nets[y])[0]
+        assert exact_mcc(nets[x], nets[y])[0] == got[x + y]
+    assert got == {"ab": 2, "bc": 4, "ac": 8}
+    assert got["ac"] > got["ab"] + got["bc"]
+    assert nets["a"].num_internal + nets["c"].num_internal - 2 == 8
+    assert main(["dist", "upper", paths["a"], paths["c"]]) == 0
+    assert capsys.readouterr().out == "upper=8\ndelta=8\n"
 
 
 def test_common_network_is_contraction_of_both():
@@ -709,6 +727,12 @@ def test_has_value_matches_materialized_clades(spec):
                 other = solver.nd[1 - s]
                 known = _materialized_values(other, comps[1 - s])
                 index = other.comp_index(comps[1 - s])
+                # has_value's premises: at most one top per cycle, and no
+                # top's cycle root inside the composition
+                tops = [p[1] for p in comps[1 - s] if p[0] == "C"]
+                roots = (other.node_bit[other.cycles[cj].root] for cj in tops)
+                assert len(set(tops)) == len(tops), (pair, comps, s)
+                assert not any(index[0] >> i & 1 for i in roots), (pair, comps, s)
                 queries = {q for *_, qs in solver.candidates(s, comps[s]) for q in qs}
                 for q in queries | set(other.one_wit) | set(other.two_wit):
                     assert other.has_value(index, q) == (q in known), (pair, comps, s, q)
@@ -1078,3 +1102,30 @@ def test_cli_solves_20000_leaf_caterpillar(tmp_path):
         "delta=0 common_size=19999\n",
         "",
     )
+
+
+# -- memory ---------------------------------------------------------------------
+
+
+def _caterpillar_text(order: list[str]) -> str:
+    """eNewick caterpillar on order, its first two leaves deepest."""
+    tail = "".join(f",{x})" for x in order[2:])
+    return "(" * (len(order) - 1) + f"{order[0]},{order[1]}){tail};"
+
+
+def test_deep_pair_peak_memory():
+    # 4,000 leaves against the copy whose second half of leaves is
+    # reversed. reach is the solver's only node-indexed mask table; with an
+    # ancestor mask per node and a node mask per 1-clade beside it, this
+    # solve peaked at 44 MiB.
+    names = [f"x{i}" for i in range(4000)]
+    n1 = parse_enewick(_caterpillar_text(names))
+    n2 = parse_enewick(_caterpillar_text(names[:2000] + names[:1999:-1]))
+    tracemalloc.start()
+    try:
+        delta = _Solver(n1, n2).run()[0]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert delta == 3998
+    assert peak < 36 * 2**20, peak / 2**20
