@@ -1,6 +1,7 @@
 """Command-line surface: outputs, exit codes, and the error channel."""
 
 import bisect
+import itertools
 import json
 import subprocess
 import sys
@@ -10,9 +11,12 @@ import pytest
 
 from conftest import G1_TEXT, STAR3_TEXT, T3A_TEXT, T3B_TEXT, src_env
 from phylocontract import cli
-from phylocontract.cli import main
+from phylocontract.cli import _witness_json, main
+from phylocontract.errors import PhyloError
 from phylocontract.generators import random_wgt
 from phylocontract.io_enewick import parse_enewick, write_enewick
+from phylocontract.mcc_dp import solve
+from phylocontract.mcc_oracle import exact_mcc
 from phylocontract.network_core import is_isomorphic
 
 G1_EDGES = "1 0\n3 1\n3 2\n5 1\n5 4\n6 3\n6 5\n#leaves\n0 1\n2 2\n4 3\n"
@@ -304,6 +308,35 @@ def test_mcc_wgt_emit_and_witness(files, capsys, tmp_path):
         assert all(key.startswith("m") for key in obj)
         used = [u for members in obj.values() for u in members]
         assert sorted(used) == sorted(str(u) for u in n.internal_nodes())
+
+
+def test_witness_file_is_indented_json_of_both_witnesses(fixture_dir, capsys, tmp_path):
+    # every ordered fixture pair on one leaf set, through both solvers: the
+    # --witness file is byte for byte json.dumps(..., indent=2) of the
+    # in-process witnesses, or absent when the call is refused
+    nets = {
+        p.name: parse_enewick(p.read_text(encoding="utf-8"))
+        for p in sorted(fixture_dir.glob("*.nwk"))
+    }
+    wit = tmp_path / "w.json"
+    written, parts_seen = 0, set()
+    for (name1, n1), (name2, n2) in itertools.product(nets.items(), repeat=2):
+        if n1.leaf_universe != n2.leaf_universe:
+            continue
+        for mode, fn in (("wgt", solve), ("exact", exact_mcc)):
+            wit.unlink(missing_ok=True)
+            files = [str(fixture_dir / name) for name in (name1, name2)]
+            code, _, err = run(capsys, ["mcc", mode, *files, "--witness", str(wit)])
+            try:
+                _, m, w1, w2 = fn(n1, n2)
+            except PhyloError as exc:
+                assert (code, err, wit.exists()) == (2, f"error: {exc.code}: {exc}\n", False)
+                continue
+            want = json.dumps([_witness_json(w1), _witness_json(w2)], indent=2) + "\n"
+            assert code == 0 and wit.read_bytes() == want.encode(), (mode, name1, name2)
+            written += 1
+            parts_seen.add(m.num_internal)
+    assert written >= 20 and 1 in parts_seen and max(parts_seen) >= 4, (written, parts_seen)
 
 
 def test_mcc_wgt_quiet_suppresses_wrote_lines(files, capsys, tmp_path):

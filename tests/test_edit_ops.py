@@ -338,24 +338,42 @@ def test_validate_witness_answers(t3a, t3b):
     r, p, c = _t3a_nodes(t3a)
     star = quotient(t3a, [[r, p]])
     pb = leafparent(t3b, "1")
+    # a path root -> x -> y -> z of internal nodes, and its quotient with y
+    # and z merged: parts {root, y}, {x}, {z} match its three nodes
+    path = parse_enewick("((((1,2),3),4),5);")
+    x = path.succ[path.root][0]
+    y, z = path.succ[x][0], leafparent(path, "1")
+    path3 = quotient(path, [[path.root], [x], [y, z]])
     cases = [
-        (star, {0: {r, p, c}}, "part 0 contains non-internal nodes"),
-        (t3a, {r: {r, p}, p: {p}}, f"part {p} overlaps another part"),
+        (t3a, star, {0: {r, p, c}}, "part 0 contains non-internal nodes"),
+        (t3a, t3a, {r: {r, p}, p: {p}}, f"part {p} overlaps another part"),
+        # a part that holds a leaf and overlaps another fails on the leaf
+        (t3a, t3a, {r: {r, p}, p: {p, c}}, f"part {p} contains non-internal nodes"),
+        (t3a, t3a, {r: set(), p: {r, p}}, f"part {r} is empty"),
+        (path, path3, {0: {path.root, y}, 1: {x}, 2: {z}}, "part 0 is not weakly connected"),
+        (t3a, star, {0: {r}}, "parts do not cover all internal nodes"),
+        (
+            t3a,
+            t3a,
+            {r: {p}, p: {r}},
+            f"edge pattern mismatch (missing={{({r}, {p})}}, extra={{({p}, {r})}})",
+        ),
         # t3b = ((1,3),2) on t3a's nodes: the edge pattern matches, but leaf
         # 3 hangs from t3a's root, outside the part of its t3b parent
-        (t3b, {t3b.root: {r}, pb: {p}}, f"leaf '3': parent {r} not in part {pb}"),
+        (t3a, t3b, {t3b.root: {r}, pb: {p}}, f"leaf '3': parent {r} not in part {pb}"),
     ]
-    for m, parts, why in cases:
+    for n, m, parts, why in cases:
         w = WitnessStructure({k: frozenset(v) for k, v in parts.items()})
-        assert validate_witness(t3a, m, w) == (False, why)
-        got = _raises(InvalidWitness, lambda: witness_to_sequence(t3a, m, w))
+        assert validate_witness(n, m, w) == (False, why)
+        got = _raises(InvalidWitness, lambda: witness_to_sequence(n, m, w))
         assert got == f"InvalidWitness: {why}"
 
 
 def test_quotient_rejects_parts_that_do_not_cover(t3a):
-    r, p, _ = _t3a_nodes(t3a)
-    got = _raises(InvalidParameters, lambda: quotient(t3a, [[r]]))
-    assert got == "InvalidParameters: parts must cover exactly the internal nodes"
+    r, p, c = _t3a_nodes(t3a)
+    for parts in ([[r]], [[r], [p, c]], [[r, p, c]]):
+        got = _raises(InvalidParameters, lambda: quotient(t3a, parts))
+        assert got == "InvalidParameters: parts must cover exactly the internal nodes"
     assert quotient(t3a, [[r], [p]]).num_internal == 2
 
 
