@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import re
 import sys
 from pathlib import Path
@@ -174,6 +173,22 @@ def _witness_json(w) -> dict:
     }
 
 
+def _witness_text(ws) -> str:
+    """`json.dumps([_witness_json(w) for w in ws], indent=2) + "\n"`, written
+    directly: its keys and members are `m` and decimal digits, which JSON
+    does not escape."""
+    objects = []
+    for w in ws:
+        entries = [
+            f'    "m{g}": [\n      "' + '",\n      "'.join(map(str, sorted(members))) + '"\n    ]'
+            if members
+            else f'    "m{g}": []'
+            for g, members in sorted(w.parts.items())
+        ]
+        objects.append("  {\n" + ",\n".join(entries) + "\n  }" if entries else "  {}")
+    return "[\n" + ",\n".join(objects) + "\n]\n" if objects else "[]\n"
+
+
 def _report_mcc(args, delta: int, m: Network, w1, w2) -> int:
     print(f"delta={delta} common_size={m.num_internal}")
     if getattr(args, "emit", None):
@@ -181,10 +196,7 @@ def _report_mcc(args, delta: int, m: Network, w1, w2) -> int:
         if not args.quiet:
             print(f"wrote {args.emit}")
     if getattr(args, "witness", None):
-        payload = [_witness_json(w1), _witness_json(w2)]
-        Path(args.witness).write_text(
-            json.dumps(payload, indent=2) + "\n", encoding="utf-8"
-        )
+        Path(args.witness).write_text(_witness_text((w1, w2)), encoding="utf-8")
         if not args.quiet:
             print(f"wrote {args.witness}")
     if args.mcnc is not None:

@@ -280,50 +280,55 @@ def validate_witness(
     n: Network, m: Network, w: WitnessStructure
 ) -> tuple[bool, str | None]:
     """Check the three witness conditions; returns (ok, first violation)."""
-    internal_m = set(m.internal_nodes())
-    if set(w.parts) != internal_m:
+    internal_m = m.succ.keys() - m.leaf_label.keys()
+    if w.parts.keys() != internal_m:
         raise KeyMismatch(
             f"witness keys {sorted(w.parts)} != internal nodes {sorted(internal_m)}"
         )
     if n.leaf_universe != m.leaf_universe:
         raise LeafSetMismatch(f"{n.leaf_universe} vs {m.leaf_universe}")
 
-    internal_n = set(n.internal_nodes())
-    seen: set[NodeId] = set()
+    internal_n = n.succ.keys() - n.leaf_label.keys()
+    succ, pred = n.succ, n.pred
+    part_of: dict[NodeId, NodeId] = {}  # also the nodes seen so far
     for key, members in w.parts.items():
         if not members:
             return False, f"part {key} is empty"
         if not members <= internal_n:
             return False, f"part {key} contains non-internal nodes"
-        if members & seen:
+        if not part_of.keys().isdisjoint(members):
             return False, f"part {key} overlaps another part"
-        seen |= members
+        for x in members:
+            part_of[x] = key
+        if len(members) == 1:
+            continue
         # weak connectivity within the part
-        members_set = set(members)
-        start = next(iter(members_set))
+        start = next(iter(members))
         reached = {start}
         stack = [start]
         while stack:
             x = stack.pop()
-            for y in list(n.succ[x]) + list(n.pred[x]):
-                if y in members_set and y not in reached:
-                    reached.add(y)
-                    stack.append(y)
-        if reached != members_set:
+            for around in (succ[x], pred[x]):
+                for y in around:
+                    if y in members and y not in reached:
+                        reached.add(y)
+                        stack.append(y)
+        if len(reached) != len(members):
             return False, f"part {key} is not weakly connected"
-    if seen != internal_n:
+    if len(part_of) != len(internal_n):
         return False, "parts do not cover all internal nodes"
 
-    part_of: dict[NodeId, NodeId] = {}
-    for key, members in w.parts.items():
-        for x in members:
-            part_of[x] = key
+    # Both edge sets are filled in edge order, tail first, so that the sets
+    # a mismatch names list their edges as they always have.
     cross: set[tuple[NodeId, NodeId]] = set()
-    for x, y in n.edges():
-        if x in part_of and y in part_of and part_of[x] != part_of[y]:
-            cross.add((part_of[x], part_of[y]))
+    for x in sorted(part_of):
+        gx = part_of[x]
+        for y in succ[x]:
+            gy = part_of.get(y, gx)  # a leaf, or x's own part
+            if gy != gx:
+                cross.add((gx, gy))
     m_internal_edges = {
-        (x, y) for x, y in m.edges() if x in internal_m and y in internal_m
+        (x, y) for x in sorted(internal_m) for y in m.succ[x] if y in internal_m
     }
     if cross != m_internal_edges:
         missing = m_internal_edges - cross
@@ -333,7 +338,7 @@ def validate_witness(
     leaves_n = n.leaf_by_label()
     for leaf_m, lab in m.leaf_label.items():
         parent_m = m.pred[leaf_m][0]
-        parent_n = n.pred[leaves_n[lab]][0]
+        parent_n = pred[leaves_n[lab]][0]
         if parent_n not in w.parts[parent_m]:
             return False, f"leaf {lab!r}: parent {parent_n} not in part {parent_m}"
     return True, None
@@ -406,22 +411,19 @@ def quotient(n: Network, parts: Sequence[Iterable[NodeId]]) -> Network:
     for i, members in enumerate(parts):
         for x in members:
             part_of[x] = i
-    if set(part_of) != set(n.internal_nodes()):
+    leaf_label = n.leaf_label
+    if part_of.keys() != n.succ.keys() - leaf_label.keys():
         raise InvalidParameters("parts must cover exactly the internal nodes")
-    next_id = len(parts)
-    leaf_map: dict[NodeId, NodeId] = {}
-    leaf_labels: dict[NodeId, str] = {}
-    for leaf in n.leaves():
-        leaf_map[leaf] = next_id
-        leaf_labels[next_id] = n.leaf_label[leaf]
-        next_id += 1
+    # leaves take the ids after the parts, in NodeId order
+    leaf_of = {leaf: i for i, leaf in enumerate(sorted(leaf_label), start=len(parts))}
     edges: set[tuple[NodeId, NodeId]] = set()
-    for x, y in n.edges():
-        xx = part_of[x]
-        yy = part_of[y] if y in part_of else leaf_map[y]
-        if xx != yy:
-            edges.add((xx, yy))
-    return validate(sorted(edges), leaf_labels, nodes=range(len(parts)))
+    for x, xx in part_of.items():
+        for y in n.succ[x]:
+            yy = part_of[y] if y in part_of else leaf_of[y]
+            if xx != yy:
+                edges.add((xx, yy))
+    leaf_labels = {i: leaf_label[leaf] for leaf, i in leaf_of.items()}
+    return validate(edges, leaf_labels, nodes=range(len(parts)))
 
 
 def delta_mcc_from_common(n1: Network, n2: Network, m: Network) -> int:

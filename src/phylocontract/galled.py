@@ -80,9 +80,8 @@ class CladeIndex:
 
 
 def has_degree2_node(n: Network) -> bool:
-    return any(
-        u != n.root and len(n.pred[u]) == 1 and len(n.succ[u]) == 1 for u in n.succ
-    )
+    unary = [u for u, vs in n.succ.items() if len(vs) == 1]
+    return any(len(n.pred[u]) == 1 and u != n.root for u in unary)
 
 
 def _climb(pred: dict[NodeId, tuple[NodeId, ...]], t: NodeId):
@@ -111,7 +110,7 @@ def _climb(pred: dict[NodeId, tuple[NodeId, ...]], t: NodeId):
 def _cycle_walk(n: Network) -> list[tuple[NodeId, NodeId, tuple, tuple]] | None:
     """(root, reticulation, side, side) per reticulation, sides top-down and
     not yet oriented, or None when n is not a weakly galled tree."""
-    if any(len(ps) > 2 for ps in n.pred.values()):
+    if max(map(len, n.pred.values()), default=0) > 2:
         return None
     on_side: set[NodeId] = set()
     found = []
@@ -166,15 +165,19 @@ def build_clade_index(n: Network) -> CladeIndex:
     cyc = cycles(n)  # raises NotWeaklyGalled when inapplicable
     d = n.clades()
     idx = CladeIndex(
-        universe=n.leaf_universe, d=dict(d), cycles=cyc, has_degree2=has_degree2_node(n)
+        universe=n.leaf_universe, d=d, cycles=cyc, has_degree2=has_degree2_node(n)
     )
     side_internal = {x for c in cyc for x in (*c.side_a, *c.side_b)}
 
     ones: dict[int, list[NodeId]] = {}
-    for u in n.nodes():
+    for u in n.nodes():  # ascending, so each value's nodes are too
         if u not in side_internal:
-            ones.setdefault(d[u], []).append(u)
-    idx.one_clades = {bits: tuple(sorted(us)) for bits, us in ones.items()}
+            us = ones.get(d[u])
+            if us is None:
+                ones[d[u]] = [u]
+            else:
+                us.append(u)
+    idx.one_clades = {bits: tuple(us) for bits, us in ones.items()}
 
     twos: dict[int, list[tuple[NodeId, NodeId]]] = {}
     for c in cyc:

@@ -35,11 +35,11 @@ entry per cascade, worth its firings plus the match of the fixed point, and
 `apply_rules` replays a cascade from the root compositions to reduce two
 whole networks. A rule only asks whether a clade value occurs among the
 other composition's 1- and 2-clades. Each network's witnesses come from its
-`galled.build_clade_index`: the bit positions of a value's 1-clade nodes
-and its one cycle pair. A query tests them against one node mask per
-composition, the union of its primes' reach bitmasks, and a pair of a cycle
-with a top in the composition against that top's window, so no clade set is
-ever built. The union answers as each prime alone would: primes are
+`galled.build_clade_index`: a value's 1-clade nodes and its one cycle
+pair. A query tests the nodes' bits against one node mask per composition,
+the union of its primes' reach bitmasks, and a pair of a cycle with a top
+in the composition against that top's window, so no clade set is ever
+built. The union answers as each prime alone would: primes are
 leaf-disjoint, a composition holds at most one top per cycle, and a cycle
 with a top in the composition has its root outside it.
 A cascade resumes one scan across its firings instead of restarting it. A
@@ -134,32 +134,41 @@ class _NetData:
         self.n = n
         self.d = idx.d
         node_list = sorted(n.succ)
-        self.node_bit = {u: i for i, u in enumerate(node_list)}
+        node_bit = self.node_bit = {u: i for i, u in enumerate(node_list)}
         self.node_of_bit = node_list
-        internal = set(n.internal_nodes())
-        self.internal_mask = sum(1 << self.node_bit[u] for u in internal)
 
-        # reachability bitmasks over node indices
-        topo = topological_order(n)
-        self.reach: dict[NodeId, int] = {}
-        for u in reversed(topo):
-            bits = 1 << self.node_bit[u]
-            for c in n.succ[u]:
-                bits |= self.reach[c]
-            self.reach[u] = bits
-
-        # An id per internal node with no reticulation at or below it, from
-        # the intern table both networks share, keyed by (clade, sorted ids
-        # of the internal children): equal ids mean equal clade sets, so
-        # the two subtrees are equal.
-        self.tree_id: dict[NodeId, int] = {}
-        for u in reversed(topo):
+        # One sweep, leaves before their parents, builds three tables:
+        # - reach: the bits of the nodes an internal node reaches, itself
+        #   included; a leaf reaches only its own bit, which is computed
+        #   where it is needed instead of stored;
+        # - internal_mask: the internal nodes' bits;
+        # - tree_id: an id per internal node with no reticulation at or
+        #   below it, from the intern table both networks share, keyed by
+        #   (clade, sorted ids of the internal children): equal ids mean
+        #   equal clade sets, so the two subtrees are equal.
+        reach: dict[NodeId, int] = {}
+        tree_id: dict[NodeId, int] = {}
+        internal_mask = 0
+        for u in reversed(topological_order(n)):
             kids = n.succ[u]
-            if kids and len(n.pred[u]) < 2 and all(
-                c in self.tree_id or c in n.leaf_label for c in kids
-            ):
-                ids = tuple(sorted(self.tree_id[c] for c in kids if c in self.tree_id))
-                self.tree_id[u] = intern.setdefault((self.d[u], ids), len(intern))
+            if not kids:
+                continue
+            bits = 1 << node_bit[u]
+            internal_mask |= bits
+            ids = []
+            for c in kids:
+                below = reach.get(c)
+                if below is None:  # a leaf
+                    bits |= 1 << node_bit[c]
+                else:
+                    bits |= below
+                    ids.append(tree_id.get(c))
+            reach[u] = bits
+            if len(n.pred[u]) < 2 and None not in ids:
+                tree_id[u] = intern.setdefault((self.d[u], tuple(sorted(ids))), len(intern))
+        self.reach = reach
+        self.tree_id = tree_id
+        self.internal_mask = internal_mask
 
         self.cycles = idx.cycles
         self.order: list[tuple[NodeId, ...]] = []
@@ -191,9 +200,9 @@ class _NetData:
                 for ch in n.succ[z]:
                     if ch != on:
                         h |= self.d[ch]
-                        hang_nodes |= self.reach[ch]
+                        hang_nodes |= reach.get(ch, 0)  # a leaf adds no internal node
                 hang[z] = h
-                below[z] = (hang_nodes & self.internal_mask).bit_count()
+                below[z] = (hang_nodes & internal_mask).bit_count()
 
             # Hangs are non-empty (no degree-2 nodes) and leaf-disjoint
             # (cycles are edge-disjoint), so the prefixes strictly grow and
@@ -212,12 +221,10 @@ class _NetData:
             self.pref_idx.append(prefidx)
             self.ipref.append(iprefs)
 
-        # Witnesses: one_wit maps a 1-clade value to the bit positions of
-        # its nodes; two_wit maps a 2-clade value to (cycle, pos x, pos y)
-        # of its one pair, pos x < pos y.
-        self.one_wit = {
-            bits: tuple(self.node_bit[u] for u in us) for bits, us in idx.one_clades.items()
-        }
+        # Witnesses: one_clades maps a 1-clade value to its nodes, as the
+        # clade index lists them; two_wit maps a 2-clade value to
+        # (cycle, pos x, pos y) of its one pair, pos x < pos y.
+        self.one_clades = idx.one_clades
         self.two_wit: dict[int, tuple[int, int, int]] = {}
         for bits, ((x, y),) in idx.two_clades.items():
             cj = self.side_of[x if x in self.side_of else y][0]
@@ -311,9 +318,11 @@ class _NetData:
     # -- clade queries on materializations -----------------------------------
 
     def _scope(self, p) -> int:
-        """Node bits of the prime's materialization: all its heads reach."""
+        """Node bits of the prime's materialization: all its heads reach. A
+        cycle top's heads are internal; a dangling leaf is its own bit."""
         if p[0] == "D":
-            return self.reach[p[1]]
+            u = p[1]
+            return self.reach[u] if u in self.reach else 1 << self.node_bit[u]
         _, ci, u, v = p
         return self.reach[self.next_a(ci, u)] | self.reach[self.next_b(ci, v)]
 
@@ -358,8 +367,8 @@ class _NetData:
         below the root, else no rule could ever touch a subnetwork whose
         value equals the whole leaf set."""
         bits, tops = index
-        for i in self.one_wit.get(q, ()):
-            if bits >> i & 1:
+        for u in self.one_clades.get(q, ()):
+            if bits >> self.node_bit[u] & 1:
                 return True
         wit = self.two_wit.get(q)
         if wit is None:

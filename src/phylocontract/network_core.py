@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import heapq
 from itertools import compress
-from typing import Iterable, Mapping
+from typing import Collection, Iterable, Mapping
 
 from .errors import (
     CyclicGraph,
@@ -41,19 +41,22 @@ class Network:
 
     def __init__(
         self,
-        succ: Mapping[NodeId, Iterable[NodeId]],
+        succ: Mapping[NodeId, Collection[NodeId]],
         leaf_label: Mapping[NodeId, str],
         root: NodeId | None,
     ):
         """Unchecked: `succ` must map every node of a valid network to its
         out-neighbors; its key order becomes the node order. `validate`
         passes root=None and sets the root once the graph is a DAG."""
-        self.succ = {u: tuple(sorted(vs)) for u, vs in succ.items()}
+        self.succ = {
+            u: tuple(sorted(vs)) if len(vs) > 1 else tuple(vs) for u, vs in succ.items()
+        }
+        # tails visited in ascending order append each in-list sorted
         pred: dict[NodeId, list[NodeId]] = {u: [] for u in self.succ}
-        for u, vs in self.succ.items():
-            for v in vs:
+        for u in sorted(self.succ):
+            for v in self.succ[u]:
                 pred[v].append(u)
-        self.pred = {v: tuple(sorted(ps)) for v, ps in pred.items()}
+        self.pred = {v: tuple(ps) for v, ps in pred.items()}
         self.leaf_label = dict(leaf_label)
         self.root = root
         self._universe: tuple[str, ...] | None = None
@@ -89,7 +92,7 @@ class Network:
         return len(self.succ) - len(self.leaf_label)
 
     def reticulations(self) -> list[NodeId]:
-        return [u for u in sorted(self.succ) if len(self.pred[u]) >= 2]
+        return sorted([u for u, ps in self.pred.items() if len(ps) >= 2])
 
     @property
     def leaf_universe(self) -> tuple[str, ...]:
@@ -184,22 +187,25 @@ def validate(
     Raises CyclicGraph, MultipleRoots, NoRoot, UnlabeledLeaf, DuplicateLabel
     or LeafWithInDegreeNot1 on the first violated condition.
     """
-    succ_sets: dict[NodeId, set[NodeId]] = {}
-    for u in nodes:
-        succ_sets.setdefault(u, set())
+    succ_sets: dict[NodeId, set[NodeId]] = {u: set() for u in nodes}
     for u in leaf_labels:
-        succ_sets.setdefault(u, set())
+        if u not in succ_sets:
+            succ_sets[u] = set()
     for u, v in edges:
         if u == v:
             raise CyclicGraph(f"self-loop at node {u}")
-        succ_sets.setdefault(u, set()).add(v)
-        succ_sets.setdefault(v, set())
+        out = succ_sets.get(u)
+        if out is None:
+            out = succ_sets[u] = set()
+        out.add(v)
+        if v not in succ_sets:
+            succ_sets[v] = set()
     if not succ_sets:
         raise NoRoot("empty node set")
 
     n = Network(succ_sets, leaf_labels, root=None)
     topological_order(n)  # raises CyclicGraph
-    roots = [u for u in n.succ if not n.pred[u]]  # a non-empty DAG has one
+    roots = [u for u, ps in n.pred.items() if not ps]  # a non-empty DAG has one
     if len(roots) > 1:
         raise MultipleRoots(f"in-degree-0 nodes: {sorted(roots)}")
     n.root = roots[0]
@@ -265,17 +271,22 @@ def topological_order(n: Network) -> list[NodeId]:
     """
     if n._order is not None:
         return list(n._order)
-    remaining = {u: len(n.pred[u]) for u in n.succ}
-    heap = [u for u in n.succ if remaining[u] == 0]
+    succ, pred = n.succ, n.pred
+    heap = [u for u, ps in pred.items() if not ps]
     heapq.heapify(heap)
+    waiting: dict[NodeId, int] = {}  # unordered parents of reticulations
     order: list[NodeId] = []
     while heap:
         u = heapq.heappop(heap)
         order.append(u)
-        for v in n.succ[u]:
-            remaining[v] -= 1
-            if remaining[v] == 0:
-                heapq.heappush(heap, v)
+        for v in succ[u]:
+            k = len(pred[v])
+            if k > 1:
+                k = waiting.get(v, k) - 1
+                waiting[v] = k
+                if k:
+                    continue
+            heapq.heappush(heap, v)
     if len(order) != len(n.succ):
         raise CyclicGraph("directed cycle detected")
     n._order = tuple(order)
