@@ -172,11 +172,7 @@ def build_clade_index(n: Network) -> CladeIndex:
     ones: dict[int, list[NodeId]] = {}
     for u in n.nodes():  # ascending, so each value's nodes are too
         if u not in side_internal:
-            us = ones.get(d[u])
-            if us is None:
-                ones[d[u]] = [u]
-            else:
-                us.append(u)
+            ones.setdefault(d[u], []).append(u)
     idx.one_clades = {bits: tuple(us) for bits, us in ones.items()}
 
     twos: dict[int, list[tuple[NodeId, NodeId]]] = {}
