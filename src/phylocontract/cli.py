@@ -31,6 +31,7 @@ from .errors import (
     PhyloError,
     SyntaxError as ParseError,
     UnknownNode,
+    UnlabeledLeaf,
 )
 from .galled import build_clade_index, is_weakly_galled
 from .generators import (
@@ -126,9 +127,12 @@ def cmd_contract(args) -> int:
     u = _resolve(n, fields[0].strip())
     v = _resolve(n, fields[1].strip())
     if args.force:
-        m = contract(n, Contraction(u, v, n.fresh_id()))
+        w = n.fresh_id()
+        m = contract(n, Contraction(u, v, w))
         if not is_acyclic(m):
             raise CyclicGraph(f"contracting ({u},{v}) creates a directed cycle")
+        if not m.succ[w]:  # v was a leaf and u's only child
+            raise UnlabeledLeaf(f"contracting ({u},{v}) leaves sink {w} without a label")
     else:
         m = contract_admissible(n, u, v)
     _emit(m, args.format)
@@ -176,17 +180,18 @@ def _witness_json(w) -> dict:
 def _witness_text(ws) -> str:
     """`json.dumps([_witness_json(w) for w in ws], indent=2) + "\n"`, written
     directly: its keys and members are `m` and decimal digits, which JSON
-    does not escape."""
+    does not escape. ws and each witness's parts are non-empty, as are the
+    parts themselves: every valid network has an internal root, and
+    `validate_witness` rejects an empty part, so `common_contraction`
+    returns no other witness."""
     objects = []
     for w in ws:
         entries = [
             f'    "m{g}": [\n      "' + '",\n      "'.join(map(str, sorted(members))) + '"\n    ]'
-            if members
-            else f'    "m{g}": []'
             for g, members in sorted(w.parts.items())
         ]
-        objects.append("  {\n" + ",\n".join(entries) + "\n  }" if entries else "  {}")
-    return "[\n" + ",\n".join(objects) + "\n]\n" if objects else "[]\n"
+        objects.append("  {\n" + ",\n".join(entries) + "\n  }")
+    return "[\n" + ",\n".join(objects) + "\n]\n"
 
 
 def _report_mcc(args, delta: int, m: Network, w1, w2) -> int:

@@ -42,16 +42,19 @@ in the composition against that top's window, so no clade set is ever
 built. The union answers as each prime alone would: primes are
 leaf-disjoint, a composition holds at most one top per cycle, and a cycle
 with a top in the composition has its root outside it.
-A cascade resumes one scan across its firings instead of restarting it. A
-firing on side s replaces a prime by pieces of its own materialization, so
-it adds no value to side s, and it removes only values among its own
-queries; none of them is a value of side 1 - s, since the firing was
-enabled, and every query of a candidate is a value of the candidate's own
-side. So no answer to a query of side 1 - s changes: no surviving candidate
-changes status, a blocked one stays blocked, only the candidates of the
-primes a firing makes need a check, and the index of the composition the
-cascade started from still answers every query. This rests on has_value's
-witnesses, which hold because no dangling prime's head is side-internal.
+A cascade keeps one heap of candidates per (rule, side) slot, filled from
+its starting compositions, pops a slot to its least enabled candidate, and
+pushes onto the slots the candidates of the primes each firing makes. A
+popped candidate, blocked or dead, is never looked at again. A firing on
+side s replaces a prime by pieces of its own materialization, so it adds no
+value to side s, and it removes only values among its own queries; none of
+them is a value of side 1 - s, since the firing was enabled, and every
+query of a candidate is a value of the candidate's own side. So no answer
+to a query of side 1 - s changes: no surviving candidate changes status, a
+blocked one stays blocked, only the candidates of the primes a firing makes
+need a check, and the index of the composition the cascade started from
+still answers every query. This rests on has_value's witnesses, which hold
+because no dangling prime's head is side-internal.
 
 Costs count contractions on both sides; the optimum then satisfies
 delta = |I1| + |I2| - 2 |I(M)|. Each memoized choice is its traceback
@@ -231,8 +234,6 @@ class _NetData:
             px, py = self.pos[cj][x], self.pos[cj][y]
             self.two_wit[bits] = (cj, px, py) if px < py else (cj, py, px)
 
-        self._path_cache: dict[tuple, tuple] = {}
-
     # -- cyclic geometry ---------------------------------------------------
 
     def next_a(self, ci: int, u: NodeId) -> NodeId:
@@ -299,13 +300,10 @@ class _NetData:
         return [self.norm_cycle(ci, *ends), *self.node_fragments(z, skip_on_cycle=ci)]
 
     def decompose_path(self, ci: int, path: tuple[NodeId, ...]) -> tuple:
-        key = (ci, path)
-        if key not in self._path_cache:
-            frags = []
-            for z in path:
-                frags.extend(self.node_fragments(z, skip_on_cycle=ci))
-            self._path_cache[key] = _sort_comp(self, frags)
-        return self._path_cache[key]
+        frags = []
+        for z in path:
+            frags.extend(self.node_fragments(z, skip_on_cycle=ci))
+        return _sort_comp(self, frags)
 
     # -- leaf sets -----------------------------------------------------------
 
@@ -413,8 +411,6 @@ class _Solver:
         self.fp_memo: dict = {}
         self.fl_memo: dict = {}
         self.memos = {"C": self.fc_memo, "P": self.fp_memo, "L": self.fl_memo}
-        self.cands: list[dict] = [{}, {}]
-        self.prime_cands: list[dict] = [{}, {}]
 
     # -- rule machinery ------------------------------------------------------
 
@@ -422,33 +418,19 @@ class _Solver:
         """(node, rule, prime, queries) of each head of prime p on side s
         that a rule may contract: a dangling subtree's internal head for
         Rule 1, a cycle top's heads other than its reticulation for Rule 2."""
-        cache = self.prime_cands[s]
-        out = cache.get(p)
-        if out is None:
-            nd = self.nd[s]
-            out = cache[p] = []
-            if p[0] == "D":
-                if p[1] not in nd.n.leaf_label:
-                    out.append((p[1], 1, p, (nd.d[p[1]],)))
-            else:
-                _, ci, u, v = p
-                t = nd.retic(ci)
-                wa, wb = nd.window_sides(ci, u, v)
-                for z, others in ((nd.next_a(ci, u), wb), (nd.next_b(ci, v), wa)):
-                    if z != t:
-                        out.append((z, 2, p, tuple(nd.d[z] | nd.d[y] for y in (*others, t))))
+        nd = self.nd[s]
+        out = []
+        if p[0] == "D":
+            if p[1] not in nd.n.leaf_label:
+                out.append((p[1], 1, p, (nd.d[p[1]],)))
+        else:
+            _, ci, u, v = p
+            t = nd.retic(ci)
+            wa, wb = nd.window_sides(ci, u, v)
+            for z, others in ((nd.next_a(ci, u), wb), (nd.next_b(ci, v), wa)):
+                if z != t:
+                    out.append((z, 2, p, tuple(nd.d[z] | nd.d[y] for y in (*others, t))))
         return out
-
-    def candidates(self, s: int, comp: tuple) -> list:
-        """The prime_candidates of comp's primes, NodeId-sorted."""
-        cache = self.cands[s]
-        if comp not in cache:
-            out = []
-            for p in comp:
-                out += self.prime_candidates(s, p)
-            out.sort(key=lambda c: c[0])
-            cache[comp] = out
-        return cache[comp]
 
     def advance(self, s: int, comp: tuple, prime, z: NodeId) -> tuple:
         """Contract the root edge onto z, a head of `prime` in comp (side s):
@@ -463,63 +445,48 @@ class _Solver:
         queries is a value of the other side, nor skip. Returns the firings
         as (side, node, rule, prime) and the fixed point pair.
 
-        Each (rule, side) list keeps its position across firings, as a
-        blocked candidate stays blocked, and each side's comp_index, built
+        Each (rule, side) slot keeps one heap of candidates by node, filled
+        from the starting compositions' primes; a firing pushes the
+        candidates of the primes it makes onto their slots. A slot pops to
+        its least enabled candidate, and a blocked or dead one stays popped:
+        a blocked candidate stays blocked, and each side's comp_index, built
         from its starting composition, serves the whole cascade (see the
-        module docstring). The candidates of the primes a firing makes join
-        through a heap per list. The fixed point is sorted once, on each
-        side that fired."""
+        module docstring). The fixed point is sorted once, on each side that
+        fired."""
         comps = (k1, k2)
-        lists = (self.candidates(0, k1), self.candidates(1, k2))
-        at = [0, 0, 0, 0]  # [2 * (rule - 1) + side]: next position in lists[side]
-        made_cands = ([], [], [], [])  # same slots: heaps of firing-made candidates
+        heaps = ([], [], [], [])  # [2 * (rule - 1) + side]: candidates by node
+        for s in (0, 1):
+            for p in comps[s]:
+                for c in self.prime_candidates(s, p):
+                    heappush(heaps[2 * (c[1] - 1) + s], c)
         live: list = [None, None]  # [side]: its primes, once it has fired
         index: list = [None, None]  # [side]: comp_index of comps[side]
         fired = []
         slot = 0
         while slot < 4:
             rule, s = _SLOTS[slot]
-            lst, heap, alive = lists[s], made_cands[slot], live[s]
-            i, end = at[slot], len(lst)
-            o = 1 - s
+            heap, alive, o = heaps[slot], live[s], 1 - s
             has_value = self.nd[o].has_value
-            while True:  # to this list's first enabled candidate, if any
-                while i < end and (
-                    lst[i][1] != rule or (alive is not None and lst[i][2] not in alive)
-                ):
-                    i += 1
-                while heap and heap[0][2] not in alive:
-                    heappop(heap)
-                if heap and (i == end or heap[0][0] < lst[i][0]):
-                    cand = heappop(heap)
-                elif i < end:
-                    cand = lst[i]
-                    i += 1
-                else:
-                    cand = None
-                    break
-                queries = cand[3]
-                if skip in queries:
+            while heap:  # to this slot's least enabled candidate, if any
+                z, _, prime, queries = heappop(heap)
+                if (alive is not None and prime not in alive) or skip in queries:
                     continue
                 if index[o] is None:
                     index[o] = self.nd[o].comp_index(comps[o])
                 if not any(has_value(index[o], q) for q in queries):
                     break
-            at[slot] = i
-            if cand is None:
+            else:
                 slot += 1
                 continue
-            z, _, prime, _ = cand
             fired.append((s, z, rule, prime))
-            nd = self.nd[s]
             if alive is None:
                 alive = live[s] = set(comps[s])
-            made = nd.advanced(prime, z)
+            made = self.nd[s].advanced(prime, z)
             alive.remove(prime)
             alive.update(made)
             for p in made:
                 for c in self.prime_candidates(s, p):
-                    heappush(made_cands[2 * (c[1] - 1) + s], c)
+                    heappush(heaps[2 * (c[1] - 1) + s], c)
             slot = 0
         point = tuple(
             comps[s] if live[s] is None else _sort_comp(self.nd[s], live[s]) for s in (0, 1)
@@ -612,7 +579,7 @@ class _Solver:
         choice); stops asking at the first INF."""
         val = charge
         for sub in subs:
-            val = _add(val, (yield sub))
+            val += yield sub
             if val == INF:
                 break
         return val, choice
@@ -921,12 +888,6 @@ def _bound(f1: int, f2: int, i1: int, i2: int) -> int:
 def _on_side(s: int, nodes: tuple) -> tuple[tuple, tuple]:
     """A record's (nodes 1, nodes 2) for nodes on side s alone."""
     return (nodes, ()) if s == 0 else ((), nodes)
-
-
-def _add(a, b):
-    if a == INF or b == INF:
-        return INF
-    return a + b
 
 
 def _run_between(nd: _NetData, ci: int, side: int, top: NodeId, bottom: NodeId):

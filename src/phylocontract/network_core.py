@@ -35,9 +35,7 @@ class Network:
     every other network comes from one of them.
     """
 
-    __slots__ = (
-        "succ", "pred", "leaf_label", "root", "_universe", "_clades", "_depths", "_order"
-    )
+    __slots__ = ("succ", "pred", "leaf_label", "root", "_universe", "_clades", "_order")
 
     def __init__(
         self,
@@ -61,7 +59,6 @@ class Network:
         self.root = root
         self._universe: tuple[str, ...] | None = None
         self._clades: dict[NodeId, int] | None = None
-        self._depths: dict[NodeId, int] | None = None
         self._order: tuple[NodeId, ...] | None = None
 
     # -- basic queries -------------------------------------------------------
@@ -126,19 +123,17 @@ class Network:
 
     def depths(self) -> dict[NodeId, int]:
         """Shortest edge-distance from the root (isomorphism invariant)."""
-        if self._depths is None:
-            dist = {self.root: 0}
-            frontier = [self.root]
-            while frontier:
-                nxt = []
-                for u in frontier:
-                    for v in self.succ[u]:
-                        if v not in dist:
-                            dist[v] = dist[u] + 1
-                            nxt.append(v)
-                frontier = nxt
-            self._depths = dist
-        return self._depths
+        dist = {self.root: 0}
+        frontier = [self.root]
+        while frontier:
+            nxt = []
+            for u in frontier:
+                for v in self.succ[u]:
+                    if v not in dist:
+                        dist[v] = dist[u] + 1
+                        nxt.append(v)
+            frontier = nxt
+        return dist
 
     def reaches(self, u: NodeId, v: NodeId) -> bool:
         """Is there a directed path (possibly empty) from u to v?"""

@@ -224,6 +224,20 @@ def test_contract_force_on_cycle_maker_is_structured(files, capsys):
     assert err.startswith("error: CyclicGraph:")
 
 
+def test_contract_force_refuses_an_unlabeled_sink(files, capsys):
+    # Absorbing a leaf that is its parent's only child leaves a sink with no
+    # label, which no output format can carry.
+    f = files("t.nwk", "(((a),b),c);")
+    code, out, err = run(capsys, ["contract", f, "--edge", "1,a", "--force"])
+    assert code == 2 and out == ""
+    assert err.startswith("error: UnlabeledLeaf:") and "(1,0)" in err
+    # a leaf with a sibling is absorbed as before, and the result reads back
+    f = files("u.nwk", "((a,b),c);")
+    code, out, _ = run(capsys, ["contract", f, "--edge", "2,a", "--force"])
+    assert code == 0 and out == "((b),c);\n"
+    assert parse_enewick(out).num_internal == 2
+
+
 def test_contract_edge_names_prefer_leaf_labels(files, capsys):
     # In ((1,2),3) the string "2" names the leaf, not internal node 2, so
     # "4,2" resolves to the non-edge (root, leaf 2).

@@ -197,38 +197,55 @@ def _rule_status(solver, comps) -> dict:
         nd, other = solver.nd[s], solver.nd[1 - s]
         assert not any(p[0] == "D" and p[1] in nd.side_of for p in comps[s]), comps[s]
         index = other.comp_index(comps[1 - s])
-        for z, rule, prime, queries in solver.candidates(s, comps[s]):
-            status[rule, s, z, prime] = not any(other.has_value(index, q) for q in queries)
+        for p in comps[s]:
+            for z, rule, prime, queries in solver.prime_candidates(s, p):
+                status[rule, s, z, prime] = not any(other.has_value(index, q) for q in queries)
     return status
+
+
+def _check_schedule(solver, comps) -> list:
+    """The cascade from comps, checked one firing at a time against a
+    from-scratch reference; returns its firings."""
+    fired, point = solver.cascade(*comps)
+    status = _rule_status(solver, comps)
+    for s, z, rule, prime in fired:
+        firing = (rule, s, z, prime)
+        assert firing == min(c for c, on in status.items() if on)
+        comps = tuple(
+            solver.advance(s, comps[s], prime, z) if t == s else comps[t] for t in (0, 1)
+        )
+        after = _rule_status(solver, comps)
+        assert all(status.get(c, on) == on for c, on in after.items()), firing
+        status = after
+    assert comps == point and not any(status.values())
+    return fired
 
 
 def test_cascade_follows_the_schedule():
     # The digest below reaches the same fixed point under any firing order,
-    # so the order itself is checked here, on each pair's root compositions,
-    # one firing at a time against a from-scratch reference: each firing is
-    # the least enabled (rule, side, node) of the pair it fires on (Rule 1
-    # before Rule 2, network 1 before network 2, lowest node first), and no
-    # candidate that survives a firing changes status, which is what lets
-    # the cascade resume its scan.
-    both_rules = both_sides = 0
+    # so the order itself is checked here, one firing at a time against a
+    # from-scratch reference: each firing is the least enabled (rule, side,
+    # node) of the pair it fires on (Rule 1 before Rule 2, network 1 before
+    # network 2, lowest node first), and no candidate that survives a firing
+    # changes status, which is what lets a popped blocked candidate stay
+    # popped. It runs from every fC key that solving each pair creates: the
+    # root compositions, and mid-DP keys, whose advanced cycle tops and hangs
+    # are where firing-made candidates join the slots.
+    both_rules = both_sides = keys = firings = 0
     for n1, n2 in _rules_digest_pairs():
         solver = _Solver(n1, n2)
-        comps = tuple(nd.decompose(nd.n.root) for nd in solver.nd)
-        fired, point = solver.cascade(*comps)
-        status = _rule_status(solver, comps)
-        for s, z, rule, prime in fired:
-            firing = (rule, s, z, prime)
-            assert firing == min(c for c, on in status.items() if on)
-            comps = tuple(
-                solver.advance(s, comps[s], prime, z) if t == s else comps[t] for t in (0, 1)
-            )
-            after = _rule_status(solver, comps)
-            assert all(status.get(c, on) == on for c, on in after.items()), firing
-            status = after
-        assert comps == point and not any(status.values())
-        both_rules += len({rule for _, _, rule, _ in fired}) == 2
-        both_sides += len({s for s, *_ in fired}) == 2
+        solver.run()
+        roots = tuple(nd.decompose(nd.n.root) for nd in solver.nd)
+        for key in solver.fc_memo:
+            fired = _check_schedule(solver, key)
+            keys += 1
+            firings += len(fired)
+            if key == roots:
+                both_rules += len({rule for _, _, rule, _ in fired}) == 2
+                both_sides += len({s for s, *_ in fired}) == 2
     assert both_rules >= 72 and both_sides >= 125  # as counted when written
+    # 1,972 keys (300 of them roots) and 4,871 firings when written
+    assert keys >= 1900 and firings >= 4800
 
 
 def test_rules_take_solves_input_contract(t3b):

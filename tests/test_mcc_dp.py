@@ -733,7 +733,9 @@ def test_has_value_matches_materialized_clades(spec):
                 roots = (other.node_bit[other.cycles[cj].root] for cj in tops)
                 assert len(set(tops)) == len(tops), (pair, comps, s)
                 assert not any(index[0] >> i & 1 for i in roots), (pair, comps, s)
-                queries = {q for *_, qs in solver.candidates(s, comps[s]) for q in qs}
+                queries = {
+                    q for p in comps[s] for *_, qs in solver.prime_candidates(s, p) for q in qs
+                }
                 for q in queries | set(other.one_clades) | set(other.two_wit):
                     assert other.has_value(index, q) == (q in known), (pair, comps, s, q)
                 asked += len(queries)
