@@ -157,6 +157,111 @@ def test_syntax_error_carries_position():
     assert exc.value.col >= 1
 
 
+# (text, code, message, line, col) of each parser error, on multi-line
+# inputs with tabs and "\r\n": a tab is one column, and "\r" is a column of
+# the line it ends. A lexical error surfaces when its token becomes the
+# lookahead, so it wins over a check that runs after that point.
+_PARSER_ERRORS = {
+    "hash_without_H": ("(a,\r\n\t#X1);", "SyntaxError", "expected 'H' after '#'", 2, 2),
+    "hash_at_end": ("(a,\n\t#", "SyntaxError", "expected 'H' after '#'", 2, 2),
+    "H_without_integer": ("(a,\r\n\t#H;", "SyntaxError", "expected integer after '#H'", 2, 2),
+    "H_then_letter": ("(a,\n\t#Hx);", "SyntaxError", "expected integer after '#H'", 2, 2),
+    "H_after_internal_label": ("(a,b)x\n\t#Hy;", "SyntaxError", "expected integer after '#H'", 2, 2),
+    "unterminated_quote": ("(a,\r\n\t'b);", "SyntaxError", "unterminated quoted label", 2, 2),
+    "doubled_quote_at_end": ("(a,\n\t'a''", "SyntaxError", "unterminated quoted label", 2, 2),
+    "doubled_quote_then_text": ("(a,\n\t'a'');", "SyntaxError", "unterminated quoted label", 2, 2),
+    "three_quotes": ("(a,\n\t''';", "SyntaxError", "unterminated quoted label", 2, 2),
+    "trailing_label": ("(a,b);\r\n\tx", "SyntaxError", "expected 'end', found 'x'", 2, 2),
+    "trailing_semicolon": ("(a,b);\n\t;", "SyntaxError", "expected 'end', found ';'", 2, 2),
+    "trailing_bad_hash": ("(a,b)\n;#Q", "SyntaxError", "expected 'H' after '#'", 2, 2),
+    "unexpected_comma": ("(a,\r\n\t,b);", "SyntaxError", "unexpected token ','", 2, 2),
+    "unexpected_close": ("(a,\n\t);", "SyntaxError", "unexpected token ')'", 2, 2),
+    "unexpected_end": ("", "SyntaxError", "unexpected token None", 1, 1),
+    "unexpected_end_after_space": ("\r\n\t", "SyntaxError", "unexpected token None", 2, 2),
+    "bad_hash_after_leaf": ("a#Q;", "SyntaxError", "expected 'H' after '#'", 1, 2),
+    "expected_close_found_tag": ("(\n\t#H1#H2,b)#H1;", "SyntaxError", "expected ')', found 2", 2, 5),
+    "expected_close_found_semicolon": ("((a,b)\n\t3;", "SyntaxError", "expected ')', found ';'", 2, 3),
+    "expected_close_found_end": ("(a,'b''c'\n\t", "SyntaxError", "expected ')', found None", 2, 2),
+    "length_is_label": ("(a:\r\n\tx,b);", "SyntaxError", "expected branch length after ':'", 2, 2),
+    "length_is_comma": ("(a:\n\t,b);", "SyntaxError", "expected branch length after ':'", 2, 2),
+    "length_is_end": ("(a,b:\n\t", "SyntaxError", "expected branch length after ':'", 2, 2),
+    "length_is_bad_hash": ("(a:\n\t#Q,b);", "SyntaxError", "expected 'H' after '#'", 2, 2),
+    "bad_hash_after_length": ("(a:1\n\t#Q,b);", "SyntaxError", "expected 'H' after '#'", 2, 2),
+    "conflicting_references": (
+        "((x#H1,b),\r\n\ty#H1);",
+        "SyntaxError",
+        "conflicting labels 'x' and 'y' for one hybrid",
+        2,
+        2,
+    ),
+    "conflicting_definition": (
+        "((x#H1,b),\n\t(c)z#H1);",
+        "SyntaxError",
+        "conflicting labels 'x' and 'z' for one hybrid",
+        2,
+        6,
+    ),
+    "bad_hash_before_conflicting_reference": (
+        "((x#H1,b),\n\ty#H1#Q);",
+        "SyntaxError",
+        "expected 'H' after '#'",
+        2,
+        6,
+    ),
+    "bad_hash_before_conflicting_definition": (
+        "((x#H1,b),\n\t(c)z#H1#Q);",
+        "SyntaxError",
+        "expected 'H' after '#'",
+        2,
+        9,
+    ),
+    "duplicate_definition": ("(((1)#H1,2),\r\n\t((3)#H1,4));", "DuplicateHybridDefinition", "#H1", None, None),
+    "bad_hash_before_duplicate_definition": (
+        "(((1)#H1,2),\n\t((3)#H1#Q,4));",
+        "SyntaxError",
+        "expected 'H' after '#'",
+        2,
+        9,
+    ),
+    "unresolved_tag": ("((#H7,1),\r\n\t2);", "UnresolvedHybridTag", "#H7", None, None),
+    "lowest_unresolved_tag": ("((#H8,1),\n\t#H7);", "UnresolvedHybridTag", "#H7", None, None),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_PARSER_ERRORS))
+def test_parser_error_is_pinned(case):
+    text, code, message, line, col = _PARSER_ERRORS[case]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        with pytest.raises(PhyloError) as exc:
+            parse_enewick(text)
+    assert exc.value.code == code
+    if line is None:
+        assert str(exc.value) == message
+        assert not hasattr(exc.value, "line")
+    else:
+        assert str(exc.value) == f"{message} (line {line}, col {col})"
+        assert (exc.value.line, exc.value.col) == (line, col)
+
+
+@pytest.mark.parametrize(
+    "text,discarded",
+    [
+        # The warning follows the lookahead after the length, so a lexical
+        # error there comes first and the warning is never given.
+        ("(a:1\n\t#Q,b);", []),
+        ("(a:1,b:'2'\n\t#Q);", ["1"]),
+        ("(a:1,b:'2'\n\t;", ["1", "2"]),
+    ],
+)
+def test_branch_length_warnings_before_an_error(text, discarded):
+    with warnings.catch_warnings(record=True) as record:
+        warnings.simplefilter("always")
+        with pytest.raises(SyntaxError):
+            parse_enewick(text)
+    assert [str(w.message) for w in record] == [f"branch length {x} discarded" for x in discarded]
+
+
 def test_hybrid_tag_reads_any_decimal_digit():
     # int() reads every Unicode decimal digit: Arabic-Indic three is tag 3
     n = parse_enewick("((a)#H\u0663,(#H3,b));")

@@ -86,6 +86,44 @@ def test_validate_rejects_leaf_with_in_degree_two():
         validate([(0, 1), (0, 2), (1, 3), (2, 3), (1, 4)], {3: "a", 4: "b"})
 
 
+def _same_network(a, b):
+    assert list(a.succ.items()) == list(b.succ.items())
+    assert list(a.pred.items()) == list(b.pred.items())
+    assert a.root == b.root and a.leaf_label == b.leaf_label
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_validate_reads_a_one_shot_iterable_with_repeats(seed):
+    # parse_enewick, quotient and expand hand validate their edges as a
+    # plain iterable that may repeat an edge; the adjacency sets dedupe it.
+    n = gen_wgt(4 + seed, seed % 3, seed)
+    edges = n.edges()
+    rng = SplitMix64(seed)
+    noisy = edges + [edges[rng.randrange(len(edges))] for _ in range(len(edges))]
+    rng.shuffle(noisy)
+    nodes = n.nodes()
+    ref = validate(edges, n.leaf_label, nodes=nodes)
+    assert ref.succ == n.succ and ref.pred == n.pred
+    _same_network(validate(iter(noisy), n.leaf_label, nodes=iter(nodes)), ref)
+    _same_network(validate((e for e in noisy), n.leaf_label, nodes=range(len(nodes))), ref)
+
+
+@pytest.mark.parametrize(
+    "edges,labels,error,message",
+    [
+        ([(0, 1), (0, 1), (1, 1), (1, 2), (0, 0)], {2: "a"}, CyclicGraph, "self-loop at node 1"),
+        ([(0, 2), (1, 2), (0, 2), (2, 3), (1, 2)], {3: "x"}, MultipleRoots, "in-degree-0 nodes: [0, 1]"),
+        ([(0, 1), (1, 2), (2, 1), (1, 2), (2, 3)], {3: "x"}, CyclicGraph, "directed cycle detected"),
+    ],
+    ids=["self_loop", "two_roots", "cycle"],
+)
+def test_validate_raises_the_first_error_of_a_one_shot_iterable(edges, labels, error, message):
+    for given in (edges, iter(edges), list(dict.fromkeys(edges))):
+        with pytest.raises(error) as exc:
+            validate(given, labels)
+        assert str(exc.value) == message
+
+
 def test_clades_t3a(t3a):
     d = t3a.clades()
     leaf = t3a.leaf_by_label()
