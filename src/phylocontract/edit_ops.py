@@ -171,7 +171,7 @@ def expand(n: Network, e: Expansion) -> Network:
                 succ[x].add(e.w)
     succ[e.v] = xp | zp | {e.w}
     succ[e.w] = yp | zp
-    edges = [(x, y) for x, ys in succ.items() for y in ys]
+    edges = ((x, y) for x, ys in succ.items() for y in ys)
     try:
         return validate(edges, dict(n.leaf_label), nodes=succ.keys())
     except PhyloError as exc:  # report the precise violation
@@ -416,12 +416,10 @@ def quotient(n: Network, parts: Sequence[Iterable[NodeId]]) -> Network:
         raise InvalidParameters("parts must cover exactly the internal nodes")
     # leaves take the ids after the parts, in NodeId order
     leaf_of = {leaf: i for i, leaf in enumerate(sorted(leaf_label), start=len(parts))}
-    edges: set[tuple[NodeId, NodeId]] = set()
-    for x, xx in part_of.items():
-        for y in n.succ[x]:
-            yy = part_of[y] if y in part_of else leaf_of[y]
-            if xx != yy:
-                edges.add((xx, yy))
+    image = part_of | leaf_of
+    edges = (
+        (xx, yy) for x, xx in part_of.items() for y in n.succ[x] if (yy := image[y]) != xx
+    )
     leaf_labels = {i: leaf_label[leaf] for leaf, i in leaf_of.items()}
     return validate(edges, leaf_labels, nodes=range(len(parts)))
 

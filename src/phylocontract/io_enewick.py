@@ -17,7 +17,9 @@ then a `#leaves` header followed by one `name label` line per leaf.
 
 from __future__ import annotations
 
+import re
 import warnings
+from itertools import islice
 
 from .errors import (
     DuplicateHybridDefinition,
@@ -29,191 +31,167 @@ from .network_core import Network, NodeId, _label_indices, validate
 
 __all__ = ["parse_enewick", "write_enewick", "parse_edgelist", "write_edgelist"]
 
-_UNQUOTED_STOP = set("(),;:#'") | set(" \t\r\n")
+_QUOTED = r"'[^']*(?:''[^']*)*'"  # "''" inside stands for one quote
+# One match per token: a mark, an unquoted label, a hybrid tag or a quoted
+# label. " \t\r\n" match nothing and are skipped. A "#" without "H" and
+# digits matches as a malformed token of its own, and so does an
+# unterminated quote, together with the rest of the text.
+_TOKEN = re.compile(
+    r"[(),;:]|[^(),;:#' \t\r\n]+|#H\d+|#H?|" + _QUOTED + r"(?!')|'[\s\S]*"
+)
+# Malformed tokens, each a "#" and at most one more character: the
+# unterminated quote is renamed "#'". The parser raises a malformed token's
+# error once the token becomes the lookahead, as a lexer that reads one
+# token ahead would.
+_MALFORMED = {
+    "#": "expected 'H' after '#'",
+    "#H": "expected integer after '#H'",
+    "#'": "unterminated quoted label",
+}
+_NOT_LABEL = "(),;:#"  # first characters; "" (the end) is in any string
 
 
-class _Lexer:
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-
-    def _coords(self, pos: int) -> tuple[int, int]:
-        line = self.text.count("\n", 0, pos) + 1
-        col = pos - (self.text.rfind("\n", 0, pos) + 1) + 1
-        return line, col
-
-    def error(self, message: str, pos: int | None = None) -> ParseError:
-        line, col = self._coords(self.pos if pos is None else pos)
-        return ParseError(message, line=line, col=col)
-
-    def tokens(self):
-        text, i, n = self.text, 0, len(self.text)
-        while i < n:
-            ch = text[i]
-            if ch in " \t\r\n":
-                i += 1
-                continue
-            self.pos = i
-            if ch in "(),;:":
-                yield (ch, ch, i)
-                i += 1
-            elif ch == "#":
-                j = i + 1
-                if j >= n or text[j] != "H":
-                    raise self.error("expected 'H' after '#'", i)
-                j += 1
-                k = j
-                while k < n and text[k].isdecimal():
-                    k += 1
-                if k == j:
-                    raise self.error("expected integer after '#H'", i)
-                yield ("hybrid", int(text[j:k]), i)
-                i = k
-            elif ch == "'":
-                j = i + 1
-                out = []
-                while True:
-                    if j >= n:
-                        raise self.error("unterminated quoted label", i)
-                    if text[j] == "'":
-                        if j + 1 < n and text[j + 1] == "'":
-                            out.append("'")
-                            j += 2
-                            continue
-                        j += 1
-                        break
-                    out.append(text[j])
-                    j += 1
-                yield ("label", "".join(out), i)
-                i = j
-            else:
-                j = i
-                while j < n and text[j] not in _UNQUOTED_STOP:
-                    j += 1
-                yield ("label", text[i:j], i)
-                i = j
-        self.pos = n
-        yield ("end", None, n)
+def _value(tok: str):
+    """A token as an error message names it: a label's text, a hybrid
+    tag's integer, a mark itself, or None at the end."""
+    if not tok or tok in _MALFORMED:
+        return None
+    if tok[0] == "#":
+        return int(tok[2:])
+    if tok[0] == "'":
+        return tok[1:-1].replace("''", "'")
+    return tok
 
 
-class _Parser:
-    def __init__(self, text: str):
-        self.lexer = _Lexer(text)
-        self.stream = self.lexer.tokens()
-        self.tok = next(self.stream)
-        self.next_id: NodeId = 0
-        self.edges: set[tuple[NodeId, NodeId]] = set()
-        self.labels: dict[NodeId, str] = {}
-        self.hybrid_node: dict[int, NodeId] = {}
-        self.hybrid_defined: set[int] = set()
-        self.nodes: set[NodeId] = set()
-
-    def advance(self):
-        self.tok = next(self.stream, ("end", None, len(self.lexer.text)))
-
-    def expect(self, kind: str):
-        if self.tok[0] != kind:
-            raise self.lexer.error(
-                f"expected {kind!r}, found {self.tok[1]!r}", self.tok[2]
-            )
-        value = self.tok[1]
-        self.advance()
-        return value
-
-    def fresh(self) -> NodeId:
-        u = self.next_id
-        self.next_id += 1
-        self.nodes.add(u)
-        return u
-
-    def hybrid(self, tag: int) -> NodeId:
-        if tag not in self.hybrid_node:
-            self.hybrid_node[tag] = self.fresh()
-        return self.hybrid_node[tag]
-
-    def set_label(self, u: NodeId, label: str, pos: int):
-        if self.labels.get(u, label) != label:
-            raise self.lexer.error(
-                f"conflicting labels {self.labels[u]!r} and {label!r} for one hybrid",
-                pos,
-            )
-        self.labels[u] = label
-
-    def subtree(self) -> NodeId:
-        """One loop: "(" opens a group; each finished node (a leaf, a hybrid
-        reference, or a group at its ")") joins the innermost open group."""
-        groups: list[list[NodeId]] = []  # children so far of each open "("
-        while True:
-            kind, value, pos = self.tok
-            if kind == "(":
-                self.advance()
-                groups.append([])
-                continue
-            if kind == "label":
-                self.advance()
-                if self.tok[0] == "hybrid":
-                    tag = self.tok[1]
-                    self.advance()
-                    node = self.hybrid(tag)
-                    self.set_label(node, value, pos)
-                else:
-                    node = self.fresh()
-                    self.labels[node] = value
-            elif kind == "hybrid":
-                self.advance()
-                node = self.hybrid(value)
-            else:
-                raise self.lexer.error(f"unexpected token {value!r}", pos)
-            while True:
-                if self.tok[0] == ":":
-                    self.advance()
-                    num_kind, num, num_pos = self.tok
-                    try:
-                        length = float(num) if num_kind == "label" else None
-                    except ValueError:
-                        length = None
-                    if length is None:
-                        raise self.lexer.error("expected branch length after ':'", num_pos)
-                    self.advance()
-                    warnings.warn(f"branch length {num} discarded", stacklevel=4)
-                if not groups:
-                    return node
-                groups[-1].append(node)
-                if self.tok[0] == ",":
-                    self.advance()
-                    break
-                self.expect(")")
-                label = None
-                if self.tok[0] == "label":
-                    label = self.tok[1]
-                    self.advance()
-                if self.tok[0] == "hybrid":
-                    tag = self.tok[1]
-                    tag_pos = self.tok[2]
-                    self.advance()
-                    node = self.hybrid(tag)
-                    if tag in self.hybrid_defined:
-                        raise DuplicateHybridDefinition(f"#H{tag}")
-                    self.hybrid_defined.add(tag)
-                    if label is not None:
-                        self.set_label(node, label, tag_pos)
-                else:
-                    node = self.fresh()  # internal_label, if any, is dropped
-                for c in groups.pop():
-                    self.edges.add((node, c))
-
-    def network(self) -> Network:
-        self.subtree()
-        self.expect(";")
-        self.expect("end")
-        for tag, node in sorted(self.hybrid_node.items()):
-            if tag not in self.hybrid_defined and node not in self.labels:
-                raise UnresolvedHybridTag(f"#H{tag}")
-        return validate(self.edges, self.labels, nodes=self.nodes)
+def _error(
+    text: str, toks: list[str], i: int, message: str | None = None, at: int | None = None
+) -> ParseError:
+    """The syntax error to raise with token i as the lookahead: the
+    lookahead's own error if it is malformed, else `message` at token `at`
+    (default i). Positions are computed only here."""
+    if toks[i] in _MALFORMED:
+        message, at = _MALFORMED[toks[i]], i
+    elif at is None:
+        at = i
+    if at == len(toks) - 1:
+        pos = len(text)
+    else:
+        pos = next(islice(_TOKEN.finditer(text), at, None)).start()
+    line = text.count("\n", 0, pos) + 1
+    col = pos - (text.rfind("\n", 0, pos) + 1) + 1
+    return ParseError(message, line=line, col=col)
 
 
 def parse_enewick(text: str) -> Network:
-    return _Parser(text).network()
+    """One pass over the token list, with an explicit stack: "(" opens a
+    group, and each finished node (a leaf, a hybrid reference, or a group
+    at its ")") joins the innermost open group. Leaves and hybrids are
+    numbered at first sight, groups at their ")"."""
+    toks = _TOKEN.findall(text)
+    if toks and toks[-1][0] == "'" and not re.fullmatch(_QUOTED, toks[-1]):
+        toks[-1] = "#'"
+    toks.append("")  # the end
+    labels: dict[NodeId, str] = {}
+    hybrid_node: dict[int, NodeId] = {}
+    hybrid_defined: set[int] = set()
+    stack: list[NodeId] = []  # finished nodes of the open groups
+    opens: list[int] = []  # where each open group's nodes start on the stack
+    tails: list[NodeId] = []  # the edges, as two parallel lists
+    heads: list[NodeId] = []
+    next_id: NodeId = 0
+    i = 0
+    while True:
+        tok = toks[i]
+        if tok == "(":
+            opens.append(len(stack))
+            i += 1
+            continue
+        i += 1
+        if tok[:1] == "#" and len(tok) > 2:
+            node = hybrid_node.setdefault(int(tok[2:]), next_id)
+            next_id += node == next_id
+        elif tok[:1] not in _NOT_LABEL:
+            label = tok if tok[0] != "'" else tok[1:-1].replace("''", "'")
+            tok = toks[i]
+            if tok[:1] == "#" and len(tok) > 2:
+                i += 1
+                node = hybrid_node.setdefault(int(tok[2:]), next_id)
+                next_id += node == next_id
+                if labels.get(node, label) != label:
+                    message = f"conflicting labels {labels[node]!r} and {label!r} for one hybrid"
+                    raise _error(text, toks, i, message, at=i - 2)
+            else:
+                node = next_id
+                next_id += 1
+            labels[node] = label
+        else:
+            raise _error(text, toks, i - 1, f"unexpected token {_value(tok)!r}")
+        while True:
+            tok = toks[i]
+            if tok == ":":
+                i += 1
+                num = toks[i]
+                length = None
+                if num[:1] not in _NOT_LABEL:
+                    num = _value(num)
+                    try:
+                        length = float(num)
+                    except ValueError:
+                        pass
+                if length is None:
+                    raise _error(text, toks, i, "expected branch length after ':'")
+                i += 1
+                tok = toks[i]
+                if tok in _MALFORMED:
+                    raise _error(text, toks, i)
+                warnings.warn(f"branch length {num} discarded", stacklevel=2)
+            if not opens:
+                break
+            stack.append(node)
+            if tok == ",":
+                i += 1
+                break
+            if tok != ")":
+                raise _error(text, toks, i, f"expected ')', found {_value(tok)!r}")
+            i += 1
+            tok = toks[i]
+            label = None
+            if tok[:1] not in _NOT_LABEL:
+                label = _value(tok)
+                i += 1
+                tok = toks[i]
+            if tok[:1] == "#" and len(tok) > 2:
+                i += 1
+                tag = int(tok[2:])
+                node = hybrid_node.setdefault(tag, next_id)
+                next_id += node == next_id
+                if tag in hybrid_defined:
+                    if toks[i] in _MALFORMED:
+                        raise _error(text, toks, i)
+                    raise DuplicateHybridDefinition(f"#H{tag}")
+                hybrid_defined.add(tag)
+                if label is not None:
+                    if labels.get(node, label) != label:
+                        message = f"conflicting labels {labels[node]!r} and {label!r} for one hybrid"
+                        raise _error(text, toks, i, message, at=i - 1)
+                    labels[node] = label
+            else:
+                node = next_id  # internal_label, if any, is dropped
+                next_id += 1
+            start = opens.pop()
+            tails += [node] * (len(stack) - start)
+            heads += stack[start:]
+            del stack[start:]
+        if not opens:
+            break
+    if toks[i] != ";":
+        raise _error(text, toks, i, f"expected ';', found {_value(toks[i])!r}")
+    if toks[i + 1]:
+        raise _error(text, toks, i + 1, f"expected 'end', found {_value(toks[i + 1])!r}")
+    for tag, node in sorted(hybrid_node.items()):
+        if tag not in hybrid_defined and node not in labels:
+            raise UnresolvedHybridTag(f"#H{tag}")
+    return validate(zip(tails, heads), labels, nodes=range(next_id))
 
 
 _SAFE_LABEL = set(

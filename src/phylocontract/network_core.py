@@ -49,12 +49,12 @@ class Network:
         self.succ = {
             u: tuple(sorted(vs)) if len(vs) > 1 else tuple(vs) for u, vs in succ.items()
         }
-        # tails visited in ascending order append each in-list sorted
-        pred: dict[NodeId, list[NodeId]] = {u: [] for u in self.succ}
+        # tails visited in ascending order extend each in-tuple sorted
+        pred: dict[NodeId, tuple[NodeId, ...]] = dict.fromkeys(self.succ, ())
         for u in sorted(self.succ):
             for v in self.succ[u]:
-                pred[v].append(u)
-        self.pred = {v: tuple(ps) for v, ps in pred.items()}
+                pred[v] += (u,)
+        self.pred = pred
         self.leaf_label = dict(leaf_label)
         self.root = root
         self._universe: tuple[str, ...] | None = None
@@ -179,26 +179,30 @@ def validate(
 ) -> Network:
     """Check raw node/edge/label data and assemble a Network.
 
+    `edges` may be read once and may repeat an edge; a node's key order
+    comes from `nodes`, then the labeled nodes, then the edges.
+
     Raises CyclicGraph, MultipleRoots, NoRoot, UnlabeledLeaf, DuplicateLabel
     or LeafWithInDegreeNot1 on the first violated condition.
     """
-    succ_sets: dict[NodeId, set[NodeId]] = {u: set() for u in nodes}
+    # out-neighbor sets, made at a node's first out-edge; () until then
+    succ: dict[NodeId, Collection[NodeId]] = dict.fromkeys(nodes, ())
     for u in leaf_labels:
-        if u not in succ_sets:
-            succ_sets[u] = set()
+        succ.setdefault(u, ())
     for u, v in edges:
         if u == v:
             raise CyclicGraph(f"self-loop at node {u}")
-        out = succ_sets.get(u)
-        if out is None:
-            out = succ_sets[u] = set()
-        out.add(v)
-        if v not in succ_sets:
-            succ_sets[v] = set()
-    if not succ_sets:
+        out = succ.get(u)
+        if out:
+            out.add(v)
+        else:
+            succ[u] = {v}
+        if v not in succ:
+            succ[v] = ()
+    if not succ:
         raise NoRoot("empty node set")
 
-    n = Network(succ_sets, leaf_labels, root=None)
+    n = Network(succ, leaf_labels, root=None)
     topological_order(n)  # raises CyclicGraph
     roots = [u for u, ps in n.pred.items() if not ps]  # a non-empty DAG has one
     if len(roots) > 1:

@@ -244,6 +244,15 @@ def test_parser_error_is_pinned(case):
         assert (exc.value.line, exc.value.col) == (line, col)
 
 
+def test_first_self_loop_in_text_order_is_reported():
+    # A hybrid inside its own group is a self-loop; with two of them the
+    # one whose group closes first (#H1, node 1) is named.
+    from phylocontract.errors import CyclicGraph
+
+    with pytest.raises(CyclicGraph, match=r"^self-loop at node 1$"):
+        parse_enewick("(((a,#H1)#H1,c),(b,#H2)#H2);")
+
+
 @pytest.mark.parametrize(
     "text,discarded",
     [
