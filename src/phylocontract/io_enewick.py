@@ -1,6 +1,7 @@
 """Extended Newick and edge-list serialization.
 
-Grammar:
+Grammar (the extended Newick of Cardona, Rosselló and Valiente, BMC
+Bioinformatics 9:532, 2008):
 
     network    := subtree ";"
     subtree    := leaf_label | hybrid_ref | "(" subtree ("," subtree)* ")" [internal_label] [hybrid_def]
