@@ -417,6 +417,127 @@ def test_prefilter_refuses_exactly_the_pre_search_refusals():
     assert refused > kept > 0
 
 
+def _small_oracle_pairs():
+    """Seeded pairs shaped like the benchmark's `oracle_small`: a first
+    network of 3 to 10 internal nodes against a copy with 1 to 3
+    contractions, or (one in three) against an independent network of at
+    most 10 internal nodes."""
+    rng = SplitMix64(2727)
+    pairs = []
+    for i in range(32):
+        internal = 3 + i % 8
+        while True:
+            retics = rng.randint(0, min(2, (internal - 1) // 2))
+            tree_internal = internal - 2 * retics
+            leaves = rng.randint(tree_internal + 1, 2 * tree_internal + 1)
+            if retics == 2 and leaves < 5:
+                continue
+            n = gen_wgt(leaves, retics, rng.randrange(1 << 30))
+            if n.num_internal == internal:
+                break
+        if i % 3:
+            pairs.append((n, perturb(n, 1 + i % 3, rng.randrange(1 << 30))))
+            continue
+        while True:
+            other = gen_wgt(leaves, rng.randint(0, 2), rng.randrange(1 << 30))
+            if other.num_internal <= 10:
+                break
+        pairs.append((n, other))
+    return pairs
+
+
+# Pairs on which a later partition with as many parts as the best so far
+# wins the tie-break, which a prune that drops ties would miss.
+TIE_BREAK_PAIRS = (
+    ("(((1)#H1,(#H1,4)),((2,(3)#H2),#H2));", "((1,(2)#H1),((#H1,3),4));"),
+    ("((1)#H1,(#H1,((2)#H2,(#H2,3))));", "((1,(2,3)));"),
+    ("((1,4),((2,(5)#H1,6),#H1),3);", "(1,(2,5,6),3,4);"),
+)
+
+
+def test_pruned_enumeration_gives_the_unpruned_result():
+    # With a budget exact_mcc walks every connected partition; without one
+    # it prunes. Both must return the same delta, common contraction and
+    # witnesses.
+    ties = [(parse_enewick(a), parse_enewick(b)) for a, b in TIE_BREAK_PAIRS]
+    pairs = [*_oracle_pairs(), *_small_oracle_pairs(), *ties]
+    for n1, n2 in pairs:
+        delta, m, w1, w2 = exact_mcc(n1, n2, max_internal=12)
+        full = exact_mcc(n1, n2, max_internal=12, budget=10**9)
+        assert (delta, write_enewick(m), w1, w2) == (
+            full[0],
+            write_enewick(full[1]),
+            full[2],
+            full[3],
+        ), (write_enewick(n1), write_enewick(n2))
+
+
+def test_pruning_drops_most_partitions(monkeypatch):
+    # exact_mcc's loop sees under 15% of the connected partitions.
+    enumerate_masks = mcc_oracle._partition_masks
+    seen = 0
+
+    def counted(nbr, budget, prune=None):
+        nonlocal seen
+        for masks in enumerate_masks(nbr, budget, prune):
+            seen += 1
+            yield masks
+
+    pairs = _small_oracle_pairs()
+    total = sum(sum(1 for _ in connected_partitions(n1)) for n1, _ in pairs)
+    monkeypatch.setattr(mcc_oracle, "_partition_masks", counted)
+    for n1, n2 in pairs:
+        exact_mcc(n1, n2)
+    assert 0 < seen < 0.15 * total, (seen, total)
+
+
+def _image_fields(image):
+    """An `_Image` without its network builder, in plain types."""
+    return (
+        sorted(image.internal),
+        [image.clades[u] for u in sorted(image.internal)],
+        image.edges,
+        image.root,
+        image.leaf_parent,
+    )
+
+
+def test_mask_image_matches_the_quotient():
+    # On every connected partition, the image read off the masks is None
+    # exactly when quotient raises, and otherwise is the quotient's.
+    nets = _enumeration_networks()
+    nets += [n for pair in _small_oracle_pairs() for n in pair if n.num_internal <= 9]
+    cyclic = acyclic = 0
+    for n in nets:
+        image = mcc_oracle._mask_images(n)
+        for parts in connected_partitions(n):
+            got = image(_part_masks(n, parts))
+            try:
+                m = quotient(n, [sorted(p) for p in parts])
+            except PhyloError:
+                assert got is None, (write_enewick(n), parts)
+                cyclic += 1
+                continue
+            assert got is not None, (write_enewick(n), parts)
+            assert _image_fields(got) == _image_fields(mcc_oracle._image(m))
+            assert write_enewick(got.network()) == write_enewick(m)
+            acyclic += 1
+    assert acyclic > cyclic > 0
+
+
+def test_partition_order_on_masks_is_the_sorted_node_order():
+    # _before compares two partitions of as many parts on their masks as
+    # their sorted tuples of sorted node tuples compare.
+    for n in _enumeration_networks()[:6]:
+        by_count = {}
+        for parts in connected_partitions(n):
+            canon = tuple(tuple(sorted(p)) for p in parts)
+            by_count.setdefault(len(parts), []).append((_part_masks(n, parts), canon))
+        for group in by_count.values():
+            for (a, ca), (b, cb) in itertools.product(group, repeat=2):
+                assert mcc_oracle._before(a, b) == (ca < cb), (ca, cb)
+
+
 def _contraction_cases():
     """(n, targets): quotients of n by every third connected partition, n
     itself, and independent networks on n's leaves."""
@@ -451,9 +572,11 @@ def _contraction_witnesses(prepare) -> list[str]:
 
 def test_one_prepared_target_serves_many_searches():
     fresh = _contraction_witnesses(lambda n: lambda m: is_contraction(n, m))
-    prepared = _contraction_witnesses(
-        lambda n: functools.partial(mcc_oracle._search, mcc_oracle._prepare(n))
-    )
+    def prepare(n):
+        search = functools.partial(mcc_oracle._search, mcc_oracle._prepare(n))
+        return lambda m: search(mcc_oracle._image(m))
+
+    prepared = _contraction_witnesses(prepare)
     assert prepared == fresh
     assert sum(" None" not in line for line in fresh) > len(fresh) // 2
     assert _digest(fresh) == CONTRACTION_DIGEST
