@@ -254,7 +254,7 @@ def parse_edgelist(text: str) -> Network:
     def node(name: str) -> NodeId:
         return ids.setdefault(name, len(ids))
 
-    edges: set[tuple[NodeId, NodeId]] = set()
+    edges: list[tuple[NodeId, NodeId]] = []  # in line order, as validate reads them
     labels: dict[NodeId, str] = {}
     in_leaves = False
     for lineno, raw in enumerate(text.split("\n"), start=1):
@@ -277,8 +277,8 @@ def parse_edgelist(text: str) -> Network:
         else:
             if len(b.split()) != 1:
                 raise ParseError(f"expected two fields, found {line!r}", line=lineno)
-            edges.add((node(a), node(b)))
-    return validate(edges, labels, nodes=set(ids.values()))
+            edges.append((node(a), node(b)))
+    return validate(edges, labels, nodes=range(len(ids)))
 
 
 def write_edgelist(n: Network) -> str:

@@ -370,6 +370,19 @@ def test_edgelist_reads_crlf_lines():
     assert write_edgelist(crlf) == write_edgelist(parse_edgelist(text))
 
 
+@pytest.mark.parametrize(
+    "text",
+    ["r a\nr x\nx x\na a\n#leaves\n", "r x\nr y\ny y\nx x\n#leaves\n"],
+)
+def test_edgelist_reports_the_first_self_loop_by_line(text):
+    # Nodes are numbered at first sight, so the self-loop of line 3 is at
+    # node 2 and the later one, on line 4, at node 1.
+    from phylocontract.errors import CyclicGraph
+
+    with pytest.raises(CyclicGraph, match=r"^self-loop at node 2$"):
+        parse_edgelist(text)
+
+
 def test_edgelist_accepts_arbitrary_node_names():
     n = parse_edgelist("root a\nroot b\na x\nb y\n#leaves\nx 1\ny 2\n")
     assert n.num_internal == 3
