@@ -26,6 +26,7 @@ from phylocontract import (
     solve,
     tree_mcc,
     validate_witness,
+    WitnessStructure,
     write_enewick,
 )
 from phylocontract import cli, mcc_oracle
@@ -289,12 +290,14 @@ def test_oracle_leaves_the_recursion_limit_alone(monkeypatch, tmp_path, capsys):
     n = parse_edgelist(text)
     w = is_contraction(n, n)
     assert w is not None and validate_witness(n, n, w)[0]
+    assert exact_mcc(n, n, max_internal=5000)[0] == 0
+    # The first partition alone takes 1,499 enumeration steps.
     with pytest.raises(BudgetExhausted):
-        exact_mcc(n, n, max_internal=5000, budget=10_000)
+        exact_mcc(n, n, max_internal=5000, budget=1000)
     path = tmp_path / "c.edges"
     path.write_text(text, encoding="utf-8")
     argv = ["--format", "edgelist", "mcc", "exact", str(path), str(path)]
-    code = cli.main([*argv, "--max-internal", "5000", "--budget", "10000"])
+    code = cli.main([*argv, "--max-internal", "5000", "--budget", "1000"])
     out, err = capsys.readouterr()
     assert (code, out) == (2, "")
     assert err.startswith("error: BudgetExhausted:")
@@ -389,19 +392,43 @@ def test_exact_mcc_output_and_budget_outcomes_are_pinned():
     assert _digest(_oracle_outcomes()) == EXACT_MCC_DIGEST
 
 
+def test_a_budget_only_cuts_the_unbudgeted_result_short():
+    # Per pair, each budget either runs out or gives exactly the unbudgeted
+    # result, and once a budget suffices every larger one does.
+    budgets = ORACLE_BUDGETS[1:]
+    assert list(budgets) == sorted(budgets)
+    pairs = [*_oracle_pairs(), *_small_oracle_pairs()]
+    cut = 0
+    for n1, n2 in pairs:
+        want = _result_line(exact_mcc(n1, n2, max_internal=12))
+        solved = False
+        for budget in budgets:
+            try:
+                got = _result_line(exact_mcc(n1, n2, max_internal=12, budget=budget))
+            except BudgetExhausted:
+                assert not solved, (write_enewick(n1), write_enewick(n2), budget)
+                cut += 1
+                continue
+            assert got == want, (write_enewick(n1), write_enewick(n2), budget)
+            solved = True
+    assert 0 < cut < len(pairs) * len(budgets)
+
+
 def _part_masks(n, parts) -> tuple[int, ...]:
-    """A partition of I(n) as the part masks `_prefilter` takes."""
+    """A partition of I(n) as the part masks `_partition_masks` yields."""
     bit = mcc_oracle._node_bits(n)
     return tuple(sum(bit[u] for u in p) for p in parts)
 
 
-def test_prefilter_refuses_exactly_the_pre_search_refusals():
-    # On every connected partition with a valid quotient, the prefilter
-    # refuses iff is_contraction returns None before its first step (a
-    # budget of 0 makes that first step raise).
+def test_prune_refuses_exactly_the_pre_search_refusals():
+    # On every connected partition with a valid quotient, exact_mcc's prune
+    # drops it (more parts than the target has internal nodes, or a part that
+    # splits a group) iff is_contraction returns None before its first step
+    # (a budget of 0 makes that first step raise).
     refused = kept = 0
     for n1, n2 in _oracle_pairs():
-        doomed = mcc_oracle._prefilter(n1, mcc_oracle._prepare(n2))
+        target = mcc_oracle._prepare(n2)
+        splits = mcc_oracle._splits(n1, target)
         for parts in connected_partitions(n1):
             try:
                 m = quotient(n1, [set(p) for p in parts])
@@ -411,7 +438,9 @@ def test_prefilter_refuses_exactly_the_pre_search_refusals():
                 pre_search = is_contraction(n2, m, budget=0) is None
             except BudgetExhausted:
                 pre_search = False
-            assert doomed(_part_masks(n1, parts)) == pre_search, (write_enewick(n1), write_enewick(n2), parts)
+            masks = _part_masks(n1, parts)
+            doomed = len(masks) > len(target.internal) or any(map(splits, masks))
+            assert doomed == pre_search, (write_enewick(n1), write_enewick(n2), parts)
             refused += pre_search
             kept += not pre_search
     assert refused > kept > 0
@@ -455,15 +484,35 @@ TIE_BREAK_PAIRS = (
 )
 
 
+def _unpruned_mcc(n1, n2):
+    """The maximum common contraction by quotienting and searching every
+    connected partition of I(n1): most parts wins, ties go to the least
+    sorted tuple of sorted part tuples."""
+    best = None  # (-parts, canon, m, w2)
+    for parts in connected_partitions(n1):
+        canon = tuple(sorted(tuple(sorted(p)) for p in parts))
+        if best is not None and (-len(canon), canon) >= best[:2]:
+            continue
+        try:
+            m = quotient(n1, canon)
+        except PhyloError:
+            continue
+        w2 = is_contraction(n2, m)
+        if w2 is not None:
+            best = (-len(canon), canon, m, w2)
+    _, canon, m, w2 = best
+    w1 = WitnessStructure({g: frozenset(p) for g, p in enumerate(canon)})
+    return n1.num_internal + n2.num_internal - 2 * len(canon), m, w1, w2
+
+
 def test_pruned_enumeration_gives_the_unpruned_result():
-    # With a budget exact_mcc walks every connected partition; without one
-    # it prunes. Both must return the same delta, common contraction and
-    # witnesses.
+    # exact_mcc prunes its enumeration; it must return the delta, common
+    # contraction and witnesses of quotienting and searching every partition.
     ties = [(parse_enewick(a), parse_enewick(b)) for a, b in TIE_BREAK_PAIRS]
     pairs = [*_oracle_pairs(), *_small_oracle_pairs(), *ties]
     for n1, n2 in pairs:
         delta, m, w1, w2 = exact_mcc(n1, n2, max_internal=12)
-        full = exact_mcc(n1, n2, max_internal=12, budget=10**9)
+        full = _unpruned_mcc(n1, n2)
         assert (delta, write_enewick(m), w1, w2) == (
             full[0],
             write_enewick(full[1]),
