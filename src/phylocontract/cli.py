@@ -217,6 +217,9 @@ def cmd_mcc_wgt(args) -> int:
 
 
 def cmd_mcc_exact(args) -> int:
+    for flag, value in (("--max-internal", args.max_internal), ("--budget", args.budget)):
+        if value is not None and value < 0:
+            raise InvalidParameters(f"{flag} must be at least 0, got {value}")
     n1 = _read(args.file1, args.format)
     n2 = _read(args.file2, args.format)
     delta, m, w1, w2 = exact_mcc(

@@ -13,20 +13,18 @@ enumerated as integer masks over the internal nodes in sorted order
 (`_partition_masks`), also on one explicit stack; `connected_partitions`
 decodes them into frozensets.
 
-`exact_mcc` prepares the second network once. Without a budget it prunes
-the enumeration: below each subset reached it drops the partitions that
-cannot have as many parts as the best so far, and those the search would
-refuse before its first step (`_prefilter`): more parts than the second
-network has internal nodes, or a part holding some but not all of a group
-of nodes that must share a part (`_splits`). With a budget it reaches every
-partition and skips the same ones, because a budget counts each subset
-the full enumeration reaches. A surviving partition's quotient is tested on
-the masks (`_mask_images`): it is invalid exactly when its parts' edges
-close a directed cycle, and otherwise the search reads its image, so the
-quotient is built only when an assignment reaches `validate_witness`. Ties
-are broken on the masks (`_before`). The survivors, their order, the
-tie-break, the results and every `--budget` count are those of quotienting
-and searching each partition. No function here recurses. `tree_mcc` finds
+`exact_mcc` prepares the second network once and prunes the enumeration:
+below each subset reached it drops the partitions that cannot have as many
+parts as the best so far, and those the search would refuse before its
+first step: more parts than the second network has internal nodes, or a
+part holding some but not all of a group of nodes that must share a part
+(`_splits`). A budget counts the subsets the pruned enumeration reaches and
+each search's steps. A surviving partition's quotient is tested on the
+masks (`_mask_images`): it is invalid exactly when its parts' edges close a
+directed cycle, and otherwise the search reads its image, so the quotient
+is built only when an assignment reaches `validate_witness`. Ties are
+broken on the masks (`_before`). The results are those of quotienting and
+searching every partition. No function here recurses. `tree_mcc` finds
 each node's minimal shared clade in one top-down pass. Both solvers, like
 `solve`, return through `edit_ops.common_contraction`, which quotients the
 first network by the witness parts, checks both witnesses and gives delta.
@@ -85,8 +83,7 @@ def _partition_masks(nbr: dict[int, int], budget: int | None, prune=None):
     the parts so far (the subset last) and the mask of the nodes left. It
     answers 0 to go on, 1 to drop every partition in which the subset stays
     the last part as it is, and 2 to drop those that grow it as well. A
-    dropped subset is never reached, so it costs no step: a caller that
-    counts steps against a budget passes no prune test.
+    dropped subset is never reached, so it costs no step.
     """
     steps = 0
     remaining = sum(nbr)  # every node's bit
@@ -368,29 +365,6 @@ def _splits(n1: Network, target: _Target):
     return splits
 
 
-def _prefilter(n1: Network, target: _Target):
-    """Predicate on partitions of I(n1), given as part masks over
-    `_node_bits(n1)`: does `_search(target, ...)` refuse the partition's
-    quotient before its first step?
-
-    It does when the quotient has more internal nodes than the target, or
-    when a part splits a group (`_splits`), so that the map the search
-    forces from the target onto the quotient is not a function. On
-    partitions whose quotient is invalid the answer does not matter:
-    `exact_mcc` skips those either way. It applies this predicate to each
-    partition when a budget makes it enumerate them all; without one, its
-    prune test asks the same two questions as each part is completed, so
-    the enumeration never reaches a refused partition.
-    """
-    splits = _splits(n1, target)
-    limit = len(target.internal)
-
-    def doomed(parts: tuple[int, ...]) -> bool:
-        return len(parts) > limit or any(map(splits, parts))
-
-    return doomed
-
-
 def _before(parts: tuple[int, ...], other: tuple[int, ...]) -> bool:
     """Does partition `parts` come before `other`, which has as many parts,
     when each is read as the sorted tuple of its parts' sorted node tuples?
@@ -431,32 +405,24 @@ def exact_mcc(
     target = _prepare(n2)
     nodes, nbr = _node_masks(n1)
     image = _mask_images(n1)
+    splits = _splits(n1, target)
+    limit = len(target.internal)
     best = None  # (part masks, w2)
     most = 0  # the number of parts of the best
-    if budget is None:
-        splits = _splits(n1, target)
-        limit = len(target.internal)
 
-        def prune(parts: list[int], left: int) -> int:
-            count = len(parts)
-            if count + left.bit_count() < most:
-                # Fewer parts than the best, even with every node left a
-                # part of its own; growing the subset leaves fewer still.
-                return 2
-            # A part more would outnumber I(n2), or this one splits a group.
-            if left and count >= limit or splits(parts[-1]):
-                return 1
-            return 0
+    def prune(parts: list[int], left: int) -> int:
+        count = len(parts)
+        if count + left.bit_count() < most:
+            # Fewer parts than the best, even with every node left a part
+            # of its own; growing the subset leaves fewer still.
+            return 2
+        # A part more would outnumber I(n2), or this one splits a group.
+        if left and count >= limit or splits(parts[-1]):
+            return 1
+        return 0
 
-        doomed = None
-    else:
-        # A budget counts every subset reached, pruned or not.
-        prune = None
-        doomed = _prefilter(n1, target)
     for masks in _partition_masks(nbr, budget, prune):
-        # Fewer parts than the best, or as many but not before it, cannot win.
-        if doomed is not None and (len(masks) < most or doomed(masks)):
-            continue
+        # As many parts as the best but not before it cannot win.
         if best is not None and len(masks) == most and not _before(masks, best[0]):
             continue
         m = image(masks)

@@ -380,6 +380,20 @@ def test_mcc_exact_budget_exhaustion(files, capsys):
     assert code == 2 and err.startswith("error: BudgetExhausted:")
 
 
+@pytest.mark.parametrize(
+    "flag,at_zero", [("--budget", "BudgetExhausted"), ("--max-internal", "SizeCapExceeded")]
+)
+def test_mcc_exact_refuses_negative_limits(files, capsys, flag, at_zero):
+    a, b = files("a.nwk", T3A_TEXT), files("b.nwk", T3B_TEXT)
+    code, out, err = run(capsys, ["mcc", "exact", a, b, flag, "-1"])
+    assert (code, out) == (2, "")
+    assert err == f"error: InvalidParameters: {flag} must be at least 0, got -1\n"
+    # 0 is a valid limit, which these inputs exceed.
+    code, out, err = run(capsys, ["mcc", "exact", a, b, flag, "0"])
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {at_zero}: ")
+
+
 def test_mcc_exact_size_cap(files, capsys):
     big = "((((((((((((1,2),3),4),5),6),7),8),9),10),11),12),13);"
     a, b = files("a.nwk", big), files("b.nwk", big)
